@@ -182,7 +182,8 @@ def _parallel_subset_points(runner: Runner, bench: str, input_name: str,
         for mask in range(n_subsets)
     ]
     try:
-        report = Scheduler(jobs=jobs, on_event=progress).run(tasks)
+        report = Scheduler(jobs=jobs, on_event=progress,
+                           runner=runner).run(tasks)
     finally:
         registry.release_all()
     points = [SubsetPoint(r["mask"], r["coverage"], r["relative_ipc"])

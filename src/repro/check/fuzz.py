@@ -166,9 +166,9 @@ def check_program(program: Program,
                             f"{type(error).__name__}: {error}")
     freq_counts = trace.dynamic_count_of()
     # Enumeration and template grouping are selector-independent: hoist
-    # both out of the per-selector loop (folds reassign the per-site
-    # scratch pcs, so sharing sites across sequential plan/fold/check
-    # rounds cannot leak state between selectors).
+    # both out of the per-selector loop (folds keep their pc layout
+    # off the sites, so sharing sites across plan/fold/check rounds
+    # cannot leak state between selectors).
     candidates = enumerate_candidates(program, max_size=max_size)
     templates = build_templates(candidates, freq_counts)
     sites = [site for template in templates for site in template.sites]

@@ -238,6 +238,7 @@ def lockstep_check(program: Program, plan: MiniGraphPlan,
         return report
     binary = TransformedBinary(program, plan)
     pc_map = binary.pc_map
+    handle_pc = binary.handle_pc
     n_pc = len(pc_map)
     walk = _Walk(program, folded, pc_map)
     ref = MachineState(program)
@@ -291,12 +292,13 @@ def lockstep_check(program: Program, plan: MiniGraphPlan,
                 orig_pc, site.start,
                 f"handle for site #{site.id} appears while execution is "
                 f"at pc {orig_pc}, not the site start {site.start}")
-        if rec.pc != site.handle_pc:
+        slot = handle_pc.get(site.start, -1)
+        if rec.pc != slot:
             return _diverge(
                 report, walk, ref, sub, orig_pc, "pc",
-                site.handle_pc, rec.pc,
+                slot, rec.pc,
                 f"handle record carries pc {rec.pc}, not the site's "
-                f"assigned handle slot {site.handle_pc}")
+                f"assigned handle slot {slot}")
         if len(rec.constituents) != size:
             return _diverge(
                 report, walk, ref, sub, orig_pc, "constituents",

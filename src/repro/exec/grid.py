@@ -11,10 +11,11 @@ once. :func:`build_tasks` performs that deduplication by constructing
 deterministic task ids from the parameters themselves.
 
 :func:`run_points` executes the DAG with a :class:`~repro.exec.dag.Scheduler`
-against the runner's *persistent* store; afterwards the (serial) driver
-replays the same calls through the runner and finds every artifact
-already present — parallelism without touching the drivers' logic, and
-bit-identical results for any ``--jobs`` value.
+against the runner's store — the runner itself for in-process modes,
+the *persistent* store for worker processes; afterwards the (serial)
+driver replays the same calls through the runner and finds every
+artifact already present — parallelism without touching the drivers'
+logic, and bit-identical results for any ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -375,9 +376,9 @@ def run_points(runner, points: Sequence[Point], jobs: int,
 
     ``threads`` (from ``--jobs threads:N``, see :func:`parse_jobs`)
     selects batched native dispatch instead of process fan-out: the
-    whole run stays in this process (no persistent store, no shm, no
-    pickling) and each scheduler wave of ready timing nodes becomes one
-    ``repro_run_batch`` call over N C threads.
+    whole run stays in this process on ``runner`` itself (no persistent
+    store, no shm, no pickling) and each scheduler wave of ready timing
+    nodes becomes one ``repro_run_batch`` call over N C threads.
     """
     if threads > 0:
         jobs = 1
@@ -398,7 +399,7 @@ def run_points(runner, points: Sequence[Point], jobs: int,
     try:
         scheduler = Scheduler(jobs=jobs, retries=retries, timeout=timeout,
                               on_event=on_event, dispatch=dispatch,
-                              threads=threads)
+                              threads=threads, runner=runner)
         if tasks is None:
             tasks = build_tasks(points, runner, check=check,
                                 shm_traces=shm_traces)

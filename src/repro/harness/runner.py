@@ -409,10 +409,10 @@ class Runner:
 
         Enumeration and ``build_templates`` are selector-independent, so
         an experiment matrix that plans the same (bench, input) under
-        many selectors reuses one grouping pass. Safe to share: folds
-        reassign the per-site scratch pcs before reading them, and
-        pickled sites normalize those pcs (``MGSite.__getstate__``), so
-        plans built from reused sites are bit-identical to fresh ones.
+        many selectors reuses one grouping pass. Safe to share, across
+        threads too: sites carry no per-plan state (the fold keeps its
+        pc layout in :class:`~repro.minigraph.transform.TransformedBinary`),
+        so plans built from reused sites are bit-identical to fresh ones.
         """
         key = (bench_name, input_name, profile_input, self.max_mg_size)
         hit = self._sites_memo.get(key)

@@ -75,7 +75,7 @@ class MGSite:
     """One static location where a template is instantiated."""
 
     __slots__ = ("id", "template", "candidate", "frequency",
-                 "handle_pc", "outlined_pc", "input_consumer_ix", "mem_pc")
+                 "input_consumer_ix", "mem_pc")
 
     def __init__(self, site_id: int, template: MGTemplate,
                  candidate: Candidate, frequency: int):
@@ -83,8 +83,6 @@ class MGSite:
         self.template = template
         self.candidate = candidate
         self.frequency = frequency
-        self.handle_pc = -1     # assigned by the transform
-        self.outlined_pc = -1   # assigned by the transform
         self.input_consumer_ix = {reg: consumer for reg, consumer, _
                                   in candidate.ext_inputs}
         self.mem_pc = -1
@@ -92,21 +90,6 @@ class MGSite:
             if inst.is_memory:
                 self.mem_pc = candidate.start + offset
                 break
-
-    def __getstate__(self):
-        # handle_pc / outlined_pc are scratch state owned by the trace
-        # fold (every fold reassigns them before they are read), so
-        # pickled sites normalize them to the unassigned sentinel: a
-        # plan built from hoisted, previously-folded sites serializes
-        # byte-identically to one built from fresh sites.
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["handle_pc"] = -1
-        state["outlined_pc"] = -1
-        return state
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
     @property
     def start(self) -> int:

@@ -28,15 +28,20 @@ _OUTLINE_GAP = 8  # I$ padding between the main line and outlined bodies
 
 
 class MGHandleRecord:
-    """A dynamic mini-graph instance: one slot everywhere but execute."""
+    """A dynamic mini-graph instance: one slot everywhere but execute.
+
+    ``pc`` is the site's handle slot and ``outlined_pc`` the start of
+    its out-of-line body, both in the layout of the plan this record was
+    folded under (sites are shared between plans, layouts are not).
+    """
 
     __slots__ = ("pc", "rd", "srcs", "addr", "taken", "next_pc",
-                 "site", "template", "constituents")
+                 "site", "template", "constituents", "outlined_pc")
     kind = 1
 
     def __init__(self, pc: int, rd: int, srcs: Tuple[int, ...], addr: int,
                  taken: bool, next_pc: int, site: MGSite,
-                 constituents: List[TraceRecord]):
+                 constituents: List[TraceRecord], outlined_pc: int):
         self.pc = pc
         self.rd = rd
         self.srcs = srcs
@@ -46,6 +51,7 @@ class MGHandleRecord:
         self.site = site
         self.template = site.template
         self.constituents = constituents
+        self.outlined_pc = outlined_pc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<MGHandleRecord pc={self.pc} site={self.site.id} "
@@ -60,16 +66,18 @@ class TransformedBinary:
         self.plan = plan
         self.pc_map: List[int] = [0] * len(program)
         self.new_length = 0
+        #: Per-site layout keyed by ``site.start``: the handle slot and
+        #: the start of the outlined body (jump-in, body, back-jump).
+        self.handle_pc: Dict[int, int] = {}
+        self.outlined_pc: Dict[int, int] = {}
         self._layout()
 
     def _layout(self) -> None:
         """Assign post-outlining PCs (binary compaction + outlined bodies).
 
-        ``site.handle_pc`` / ``site.outlined_pc`` are reassigned on
-        every fold before anything reads them — the contract that lets
-        the runner and fuzz paths hoist one site list across the
-        per-selector plan loop (and ``MGSite.__getstate__`` normalize
-        the scratch pcs away when plans are pickled).
+        The layout lives here, never on the sites: the runner and fuzz
+        paths hoist one site list across many plans of a program, and
+        concurrent folds of those plans must not see each other's pcs.
         """
         new_pc = 0
         site_iter = iter(self.plan.sites)
@@ -78,7 +86,7 @@ class TransformedBinary:
         n = len(self.program)
         while pc < n:
             if site is not None and pc == site.start:
-                site.handle_pc = new_pc
+                self.handle_pc[site.start] = new_pc
                 for offset in range(site.end - site.start):
                     self.pc_map[pc + offset] = new_pc
                 pc = site.end
@@ -91,7 +99,7 @@ class TransformedBinary:
         self.new_length = new_pc
         outlined = new_pc + _OUTLINE_GAP
         for site in self.plan.sites:
-            site.outlined_pc = outlined
+            self.outlined_pc[site.start] = outlined
             # jump-in slot is at the handle site; body + back-jump out of line
             outlined += (site.end - site.start) + 1
 
@@ -106,6 +114,8 @@ def fold_trace(trace: Trace, plan: MiniGraphPlan) -> PackedTrace:
     """
     binary = TransformedBinary(trace.program, plan)
     pc_map = binary.pc_map
+    handle_pc = binary.handle_pc
+    outlined_pc = binary.outlined_pc
     site_at: Dict[int, MGSite] = {site.start: site for site in plan.sites}
     records = trace.records
     out: List = []
@@ -140,9 +150,10 @@ def fold_trace(trace: Trace, plan: MiniGraphPlan) -> PackedTrace:
         next_pc = (pc_map[last.next_pc] if last.next_pc < len(pc_map)
                    else last.next_pc)
         append(MGHandleRecord(
-            site.handle_pc, candidate.out_reg,
+            handle_pc.get(site.start, -1), candidate.out_reg,
             tuple(reg for reg, _, _ in candidate.ext_inputs),
-            addr, taken, next_pc, site, list(constituents)))
+            addr, taken, next_pc, site, list(constituents),
+            outlined_pc[site.start]))
         i += size
     return PackedTrace.from_records(out)
 

@@ -245,17 +245,19 @@ class ServeApp:
         from ..dist.remote import SocketDispatchBackend
         return SocketDispatchBackend(self._coordinator, jobs=jobs)
 
-    def _scheduler(self, jobs: int, on_event) -> Scheduler:
+    def _scheduler(self, jobs: int, on_event, runner: Runner) -> Scheduler:
         if self.config.dispatch:
             return Scheduler(jobs=jobs, on_event=on_event,
-                             dispatch=self._dispatch_backend(jobs))
+                             dispatch=self._dispatch_backend(jobs),
+                             runner=runner)
         if jobs <= 1 and self.config.batch_threads > 0:
             # Batched native dispatch: the job stays in-process (the
             # warm path's store probes and memory layer keep working)
             # while each wave of timing points runs as one C call over
             # ``batch_threads`` threads.
             return Scheduler(jobs=1, on_event=on_event,
-                             threads=self.config.batch_threads)
+                             threads=self.config.batch_threads,
+                             runner=runner)
         pool = None
         if jobs > 1 and self.config.pool_workers > 0:
             if self._pool is None:
@@ -263,7 +265,8 @@ class ServeApp:
                     max_workers=self.config.pool_workers)
             pool = self._pool
             jobs = min(jobs, self.config.pool_workers)
-        return Scheduler(jobs=jobs, on_event=on_event, pool=pool)
+        return Scheduler(jobs=jobs, on_event=on_event, pool=pool,
+                         runner=runner)
 
     def _drop_pool_if_degraded(self, degraded: bool) -> None:
         if degraded and self._pool is not None:
@@ -507,7 +510,7 @@ class ServeApp:
                 await self._nodes.wait()
                 continue
             sink = job.events.scheduler_sink(job.cancel_requested)
-            scheduler = self._scheduler(jobs, sink)
+            scheduler = self._scheduler(jobs, sink, runner)
             try:
                 report = await asyncio.to_thread(scheduler.run, kept, True)
             finally:

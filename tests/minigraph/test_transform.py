@@ -32,9 +32,11 @@ def test_layout_compacts_binary(sum_loop, sum_trace):
 def test_outlined_bodies_beyond_program(sum_loop, sum_trace):
     plan = _plan_for(sum_loop, sum_trace)
     binary = TransformedBinary(sum_loop, plan)
+    outlined = binary.outlined_pc
     for site in plan.sites:
-        assert site.outlined_pc >= binary.new_length
-    spans = sorted((s.outlined_pc, s.outlined_pc + (s.end - s.start) + 1)
+        assert outlined[site.start] >= binary.new_length
+    spans = sorted((outlined[s.start],
+                    outlined[s.start] + (s.end - s.start) + 1)
                    for s in plan.sites)
     for (_, end1), (start2, _) in zip(spans, spans[1:]):
         assert end1 <= start2  # outlined bodies do not collide
@@ -73,7 +75,9 @@ def test_handle_interface_fields(sum_loop, sum_trace):
     candidate = handle.site.candidate
     assert handle.rd == candidate.out_reg
     assert len(handle.srcs) == len(candidate.ext_inputs)
-    assert handle.pc == handle.site.handle_pc
+    binary = TransformedBinary(sum_loop, plan)
+    assert handle.pc == binary.handle_pc[handle.site.start]
+    assert handle.outlined_pc == binary.outlined_pc[handle.site.start]
     if handle.site.template.has_load or handle.site.template.has_store:
         assert handle.addr >= 0
     else:
@@ -195,3 +199,63 @@ def test_fold_different_programs_independent():
     records_a = fold_trace(trace_a, plan_a)
     records_b = fold_trace(trace_b, plan_b)
     assert len(records_a) != len(records_b)
+
+
+def _columns(packed):
+    """Every byte a fold produces: the packed columns plus each handle's
+    site identity and outlined-body pc."""
+    names = ("kind", "pc", "op", "opclass", "latency", "rd", "addr",
+             "taken", "next_pc", "srcs", "srcs_start")
+    handles = [(id(rec.site), rec.outlined_pc)
+               for rec in packed if rec.kind == 1]
+    return [getattr(packed, name).tobytes() for name in names], handles
+
+
+def test_concurrent_folds_of_shared_sites_stay_independent():
+    """Two plans of one program share the runner's hoisted sites; folding
+    them at the same time from two threads gives each its serial fold,
+    and leaves the shared sites untouched."""
+    import threading
+
+    from repro.harness.runner import Runner
+    from repro.minigraph.selectors import StructNone
+    from repro.minigraph.templates import MGSite
+
+    runner = Runner(max_insts=20_000)
+    trace = runner.trace("adpcm")
+    plans = [runner.plan("adpcm", StructAll()),
+             runner.plan("adpcm", StructNone())]
+    layouts = [TransformedBinary(trace.program, plan) for plan in plans]
+    shared = [site for site in plans[0].sites
+              if any(site is other for other in plans[1].sites)]
+    # The race needs a site both plans select but lay out differently.
+    assert any(layouts[0].handle_pc[site.start]
+               != layouts[1].handle_pc[site.start]
+               or layouts[0].outlined_pc[site.start]
+               != layouts[1].outlined_pc[site.start] for site in shared)
+    sites = runner._hoisted_sites("adpcm", "train", "train",
+                                  runner.candidates("adpcm"),
+                                  trace.dynamic_count_of())
+    before = [[getattr(site, slot) for slot in MGSite.__slots__]
+              for site in sites]
+    serial = [_columns(fold_trace(trace, plan)) for plan in plans]
+
+    rounds = 8
+    barrier = threading.Barrier(2)
+    folded = [[], []]
+
+    def fold(which):
+        for _ in range(rounds):
+            barrier.wait()
+            folded[which].append(_columns(fold_trace(trace, plans[which])))
+
+    threads = [threading.Thread(target=fold, args=(which,))
+               for which in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for which in (0, 1):
+        assert folded[which] == [serial[which]] * rounds
+    assert [[getattr(site, slot) for slot in MGSite.__slots__]
+            for site in sites] == before
