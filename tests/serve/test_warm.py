@@ -20,7 +20,7 @@ def warm_runner(tmp_path_factory):
     store = ArtifactStore(tmp_path_factory.mktemp("warm-store"))
     runner = Runner(store=store)
     tasks = build_tasks(POINTS, runner)
-    Scheduler(jobs=1).run(tasks)
+    Scheduler(jobs=1, runner=runner).run(tasks)
     return runner
 
 
@@ -64,7 +64,7 @@ def test_partial_prune_drops_dead_edges(warm_runner):
         for dep in task.deps:
             assert dep in kept_ids and dep not in dead
     # And the kept subgraph actually executes on its own.
-    report = Scheduler(jobs=1).run(kept)
+    report = Scheduler(jobs=1, runner=warm_runner).run(kept)
     assert len(report.results) == len(kept)
 
 
