@@ -837,8 +837,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_bench.add_argument("--batch-threads", type=int, default=0,
                          help="C threads for --batch (default: auto)")
     p_bench.add_argument("--plan", action="store_true",
-                         help="benchmark native plan construction "
-                              "(profile build, enumeration, scoring) "
+                         help="benchmark the native slack-profile build "
                               "against the pure-Python reference; writes "
                               "BENCH_plankern.json")
     p_bench.add_argument("--min-speedup", type=float, default=3.0,

@@ -180,8 +180,7 @@ def check_program(program: Program,
         plan = make_plan(program, freq_counts, selector,
                          profile=profile if selector.needs_profile
                          else None,
-                         budget=budget, max_size=max_size,
-                         candidates=candidates, verify=False,
+                         budget=budget, max_size=max_size, verify=False,
                          sites=sites)
         if plan_hook is not None:
             plan = plan_hook(program, selector, plan)

@@ -175,9 +175,8 @@ def run_batch_wave(tasks: Sequence, threads: int
         return results
     prepared: List[_Prepared] = []
     # Prepare in (bench, input) order: plan construction behind
-    # selector points reuses per-program state (hoisted template sites,
-    # packed static columns, profile scoring columns) through bounded
-    # caches, so grouping same-program points keeps those caches hot.
+    # selector points reuses the hoisted template sites through a
+    # bounded cache, so grouping same-program points keeps it hot.
     # Results are keyed by task id, so the order is otherwise free.
     def _locality(task):
         spec = task.args[0]

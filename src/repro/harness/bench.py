@@ -517,19 +517,18 @@ def check_against(current: BenchReport, baseline: BenchReport,
 # ---------------------------------------------------------------------
 #
 # The plan-kernel counterpart of the batch bench above: instead of the
-# cycle loop, it times the three plan-construction stages the compiled
-# kernel accelerates — post-hoc slack-profile build from the event tap,
-# candidate enumeration, and selector scoring — native against the
-# pure-Python reference (forced in-process via ``REPRO_PURE_PY``; both
-# sides run the same entry points, so the comparison is the real
-# fallback path, not a strawman). Every point asserts bit-identity
-# (pickled profiles, pickled candidate lists, selected pools) before
-# its timings count, so a plan-bench report doubles as a parity check.
+# cycle loop, it times the plan-construction stage the compiled kernel
+# accelerates — the post-hoc slack-profile build from the event tap —
+# native against the pure-Python reference (forced in-process via
+# ``REPRO_PURE_PY``; both sides run the same entry point, so the
+# comparison is the real fallback path, not a strawman). Every point
+# asserts bit-identical pickled profiles before its timings count, so a
+# plan-bench report doubles as a parity check.
 
-PLAN_SCHEMA_VERSION = 1
+PLAN_SCHEMA_VERSION = 2
 
-#: Stages in report order; ``total`` rows aggregate all three.
-PLAN_STAGES = ("profile", "enumerate", "score")
+#: Stages timed per point, in report order.
+PLAN_STAGES = ("profile",)
 
 
 @dataclass
@@ -538,16 +537,9 @@ class PlanBenchPoint:
 
     bench: str
     n_static: int
-    n_candidates: int
     tap_words: int
     profile_py_ms: float
     profile_native_ms: float
-    enumerate_py_ms: float
-    enumerate_native_ms: float
-    score_py_ms: float
-    score_native_ms: float
-    total_py_ms: float
-    total_native_ms: float
     speedup: float
 
 
@@ -562,16 +554,14 @@ class PlanBenchReport:
     platform: str = ""
     config: str = "reduced"
     repeat: int = 3
-    max_mg_size: int = 4
-    max_ext_inputs: int = 3
     points: List[PlanBenchPoint] = field(default_factory=list)
     total_py_ms: float = 0.0
     total_native_ms: float = 0.0
     speedup: float = 0.0
 
     def finalize(self) -> None:
-        self.total_py_ms = sum(p.total_py_ms for p in self.points)
-        self.total_native_ms = sum(p.total_native_ms for p in self.points)
+        self.total_py_ms = sum(p.profile_py_ms for p in self.points)
+        self.total_native_ms = sum(p.profile_native_ms for p in self.points)
         self.speedup = (self.total_py_ms / self.total_native_ms
                         if self.total_native_ms else 0.0)
 
@@ -579,19 +569,15 @@ class PlanBenchReport:
         return asdict(self)
 
     def render(self) -> str:
-        lines = [f"{'bench':<10s} {'static':>6s} {'cands':>6s} "
-                 f"{'profile':>9s} {'enum':>9s} {'score':>9s} "
-                 f"{'total':>13s} {'speedup':>8s}   (py/native ms)"]
+        lines = [f"{'bench':<10s} {'static':>6s} {'tap words':>10s} "
+                 f"{'profile':>13s} {'speedup':>8s}   (py/native ms)"]
         for p in self.points:
             lines.append(
-                f"{p.bench:<10s} {p.n_static:>6d} {p.n_candidates:>6d} "
-                f"{p.profile_py_ms:>4.1f}/{p.profile_native_ms:<4.2f} "
-                f"{p.enumerate_py_ms:>4.1f}/{p.enumerate_native_ms:<4.2f} "
-                f"{p.score_py_ms:>4.2f}/{p.score_native_ms:<4.2f} "
-                f"{p.total_py_ms:>6.1f}/{p.total_native_ms:<6.2f} "
+                f"{p.bench:<10s} {p.n_static:>6d} {p.tap_words:>10d} "
+                f"{p.profile_py_ms:>6.1f}/{p.profile_native_ms:<6.2f} "
                 f"{p.speedup:>7.1f}x")
-        lines.append(f"{'total':<10s} {'':>6s} {'':>6s} {'':>9s} {'':>9s} "
-                     f"{'':>9s} {self.total_py_ms:>6.1f}/"
+        lines.append(f"{'total':<10s} {'':>6s} {'':>10s} "
+                     f"{self.total_py_ms:>6.1f}/"
                      f"{self.total_native_ms:<6.2f} {self.speedup:>7.1f}x")
         lines.append(f"({self.python}, {self.platform}, "
                      f"repeat {self.repeat}, keep fastest)")
@@ -603,8 +589,8 @@ class _PurePy:
 
     ``ckern.available()`` re-reads ``REPRO_PURE_PY`` on every call, so
     flipping the environment variable in-process is enough to route
-    every plan entry point (profile build, enumeration, scoring, tap
-    fold) through its reference implementation.
+    every plan entry point (profile build, tap fold, global fold)
+    through its reference implementation.
     """
 
     def __enter__(self):
@@ -637,25 +623,18 @@ def run_plan_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
                    repeat: int = 3,
                    log: Optional[Callable[[str], None]] = None
                    ) -> PlanBenchReport:
-    """Native vs pure-Python plan construction over the golden matrix.
+    """Native vs pure-Python slack-profile build over the golden matrix.
 
     For each benchmark, one kernel profiling run captures the event-tap
-    log (not timed); the stopwatch then covers (a) rebuilding the slack
-    profile from that log, (b) enumerating candidates — materialized to
-    ``Candidate`` objects on both legs, so lazy rehydration is charged
-    to the native side — and (c) scoring the full site list through
-    ``SlackProfileSelector.build_pool``. Parity between the legs is
-    asserted before any timing is recorded.
+    log (not timed); the stopwatch then covers rebuilding the slack
+    profile from that log. Parity between the legs is asserted before
+    any timing is recorded.
     """
     import pickle
     import tempfile
 
     from ..exec.store import ArtifactStore
-    from ..minigraph import candidates as candidates_mod
-    from ..minigraph.candidates import enumerate_candidates
-    from ..minigraph.selectors import SlackProfileSelector
     from ..minigraph.slack import SlackCollector
-    from ..minigraph.templates import build_templates
     from ..pipeline import ckern
 
     if not ckern.available():
@@ -688,7 +667,7 @@ def run_plan_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
             committed = out[ckern.OUT_SLOTS_COMMITTED]
             packed = core.records
 
-            # -- stage 1: profile build from the event log --------------
+            # -- profile build from the event log -----------------------
             def build_profile():
                 collector = SlackCollector(program,
                                            config_name=config.name,
@@ -706,63 +685,15 @@ def run_plan_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
                 raise RuntimeError(f"{name}: native profile diverged "
                                    f"from the Python reference")
 
-            # -- stage 2: candidate enumeration -------------------------
-            def enumerate_fresh():
-                # Charge the native leg its full cost: packed-column
-                # build (caches cleared) plus Candidate rehydration.
-                candidates_mod._STATIC_CACHE.clear()
-                candidates_mod._PACK_CACHE.clear()
-                return list(enumerate_candidates(
-                    program, max_size=report.max_mg_size,
-                    max_ext_inputs=report.max_ext_inputs))
-
-            candidates = enumerate_candidates(
-                program, max_size=report.max_mg_size,
-                max_ext_inputs=report.max_ext_inputs)
-            enum_ms = _best_of(enumerate_fresh, repeat)
-            with _PurePy():
-                candidates_py = enumerate_fresh()
-                enum_py_ms = _best_of(enumerate_fresh, repeat)
-            if pickle.dumps(list(candidates)) != pickle.dumps(candidates_py):
-                raise RuntimeError(f"{name}: native enumeration diverged "
-                                   f"from the Python reference")
-
-            # -- stage 3: selector scoring ------------------------------
-            freq_counts = runner.trace(bench, "train").dynamic_count_of()
-            templates = build_templates(candidates, freq_counts)
-            sites = [site for template in templates
-                     for site in template.sites]
-            selector = SlackProfileSelector()
-
-            def score():
-                return selector.build_pool(sites, profile_native,
-                                           candidates)
-
-            pool_native = score()
-            score_ms = _best_of(score, repeat)
-            with _PurePy():
-                pool_py = score()
-                score_py_ms = _best_of(score, repeat)
-            if [site.id for site in pool_native] != \
-                    [site.id for site in pool_py]:
-                raise RuntimeError(f"{name}: native scoring diverged "
-                                   f"from the Python reference")
-
-            total_py = profile_py_ms + enum_py_ms + score_py_ms
-            total_native = profile_ms + enum_ms + score_ms
             point = PlanBenchPoint(
-                bench=name, n_static=len(program),
-                n_candidates=len(candidates), tap_words=n_words,
+                bench=name, n_static=len(program), tap_words=n_words,
                 profile_py_ms=profile_py_ms, profile_native_ms=profile_ms,
-                enumerate_py_ms=enum_py_ms, enumerate_native_ms=enum_ms,
-                score_py_ms=score_py_ms, score_native_ms=score_ms,
-                total_py_ms=total_py, total_native_ms=total_native,
-                speedup=total_py / total_native if total_native else 0.0)
+                speedup=profile_py_ms / profile_ms if profile_ms else 0.0)
             report.points.append(point)
             if log is not None:
                 log(f"[bench] plan/{name}: {point.speedup:.1f}x "
-                    f"({total_py:.1f} -> {total_native:.2f} ms, "
-                    f"{len(candidates)} candidates, {n_words} tap words)")
+                    f"({profile_py_ms:.1f} -> {profile_ms:.2f} ms, "
+                    f"{n_words} tap words)")
     report.finalize()
     return report
 
@@ -780,9 +711,12 @@ def write_plan_report(report: PlanBenchReport,
 
 
 def load_plan_report(path) -> PlanBenchReport:
-    """Load a plan report back from JSON."""
+    """Load a plan report back from JSON (current schema only)."""
     with open(path) as handle:
         data = json.load(handle)
+    if data.get("schema") != PLAN_SCHEMA_VERSION:
+        raise ValueError(f"{path}: plan report schema {data.get('schema')!r}"
+                         f", expected {PLAN_SCHEMA_VERSION}")
     points = [PlanBenchPoint(**p) for p in data.pop("points", [])]
     known = set(PlanBenchReport.__dataclass_fields__)
     report = PlanBenchReport(
@@ -793,13 +727,11 @@ def load_plan_report(path) -> PlanBenchReport:
 
 def check_plan_report(report: PlanBenchReport,
                       min_speedup: float = 3.0) -> List[str]:
-    """Gate: native plan construction must beat Python per point.
+    """Gate: the native profile build must beat Python per point.
 
     Per point rather than in aggregate so a large benchmark cannot
-    amortize a regression on a small one; the profile-build stage
-    scales with the dynamic event log while enumeration and scoring
-    scale with the static program, so every point clears the bar on
-    its own.
+    amortize a regression on a small one; the profile build scales with
+    the dynamic event log, so every point clears the bar on its own.
     """
     failures: List[str] = []
     if not report.points:
@@ -807,8 +739,8 @@ def check_plan_report(report: PlanBenchReport,
     for point in report.points:
         if point.speedup < min_speedup:
             failures.append(
-                f"{point.bench}: native plan construction only "
+                f"{point.bench}: native profile build only "
                 f"{point.speedup:.2f}x the Python reference "
-                f"(gate {min_speedup:.1f}x, {point.total_py_ms:.1f} vs "
-                f"{point.total_native_ms:.2f} ms)")
+                f"(gate {min_speedup:.1f}x, {point.profile_py_ms:.1f} vs "
+                f"{point.profile_native_ms:.2f} ms)")
     return failures

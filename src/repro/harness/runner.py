@@ -237,12 +237,8 @@ class Runner:
         params = self.candidates_params(bench.name, input_name)
 
         def compute() -> List[Candidate]:
-            program = bench.program(input_name)
-            # Materialize: the native enumerator returns a lazy packed
-            # set, but the stored artifact must be the same plain list
-            # the Python reference produces (byte-identical pickles).
-            return list(enumerate_candidates(program,
-                                             max_size=self.max_mg_size))
+            return enumerate_candidates(bench.program(input_name),
+                                        max_size=self.max_mg_size)
 
         return self.store.get_or_compute("candidates", params, compute)
 
@@ -399,7 +395,7 @@ class Runner:
             return make_plan(
                 program, freq_counts, selector, profile=profile,
                 budget=self.budget, max_size=self.max_mg_size,
-                candidates=candidates, sites=sites)
+                sites=sites)
 
         return self.store.get_or_compute("plan", params, compute)
 

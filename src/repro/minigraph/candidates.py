@@ -15,13 +15,10 @@ absolute coverage but not the serialization phenomena under study.
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Sequence
 from typing import FrozenSet, List, Optional, Tuple
 
 from ..isa import opcodes as oc
 from ..isa.program import Program
-from ..pipeline import ckern as _ckern
 from .dataflow import group_interface, internal_edges, liveness
 from .serialization import SerializationClass, classify
 
@@ -104,203 +101,18 @@ class Candidate:
 
 _AGGREGABLE = (oc.OC_SIMPLE, oc.OC_LOAD, oc.OC_STORE, oc.OC_BRANCH)
 
-#: Index order must match the SER_* codes emitted by
-#: ``repro_enumerate_candidates`` in ``_ckern.c``.
-_SER_CLASSES = (SerializationClass.NONE, SerializationClass.BOUNDED,
-                SerializationClass.UNBOUNDED)
-
-
-class _StaticColumns:
-    """Flat int64 columns of a program's static listing (native input)."""
-
-    __slots__ = ("opclass", "latency", "rd_eff", "srcs3", "live_mask",
-                 "block_start", "block_end")
-
-
-# Static columns are rebuilt per Program object; the id-keyed cache makes
-# repeat enumerations (and scoring column reuse) free without attaching
-# anything to Program itself, which would leak into pickled artifacts.
-_STATIC_CACHE: dict = {}
-_PACK_CACHE: dict = {}
-_CACHE_BOUND = 8
-
-
-def _static_columns(program: Program) -> _StaticColumns:
-    key = id(program)
-    hit = _STATIC_CACHE.get(key)
-    if hit is not None and hit[0] is program:
-        return hit[1]
-    insts = program.instructions
-    n = len(insts)
-    cols = _StaticColumns()
-    cols.opclass = array("q", (i.opclass for i in insts))
-    cols.latency = array("q", (i.latency for i in insts))
-    cols.rd_eff = array("q", (i.rd if i.writes_reg else -1 for i in insts))
-    srcs3 = array("q", [-1]) * (3 * n)
-    for pc, inst in enumerate(insts):
-        for position, src in enumerate(inst.srcs):
-            srcs3[3 * pc + position] = src
-    cols.srcs3 = srcs3
-    live_out_sets = liveness(program)
-    cols.live_mask = array("q", (sum(1 << r for r in live)
-                                 for live in live_out_sets))
-    blocks = program.basic_blocks()
-    cols.block_start = array("q", (b.start for b in blocks))
-    cols.block_end = array("q", (b.end for b in blocks))
-    if len(_STATIC_CACHE) >= _CACHE_BOUND:
-        _STATIC_CACHE.clear()
-    _STATIC_CACHE[key] = (program, cols)
-    return cols
-
-
-class PackedCandidateSet(Sequence):
-    """Candidates from the native enumerator, rehydrated lazily.
-
-    Holds the packed ``(start, end, ext, out, edges, ser)`` columns
-    returned by ``repro_enumerate_candidates`` and materializes a
-    :class:`Candidate` (with exactly the field values the Python loop
-    would build) only when an element is actually touched. Pickles as a
-    plain list so stored artifacts are byte-identical on both paths.
-    """
-
-    __slots__ = ("program", "n", "c_start", "c_end", "c_ext", "c_out",
-                 "c_edges", "c_ser", "_items")
-
-    def __init__(self, program: Program, n: int, c_start, c_end, c_ext,
-                 c_out, c_edges, c_ser):
-        self.program = program
-        self.n = n
-        self.c_start = c_start
-        self.c_end = c_end
-        self.c_ext = c_ext
-        self.c_out = c_out
-        self.c_edges = c_edges
-        self.c_ser = c_ser
-        self._items: List[Optional[Candidate]] = [None] * n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self.n))]
-        if index < 0:
-            index += self.n
-        item = self._items[index]
-        if item is None:
-            item = self._items[index] = self._rehydrate(index)
-        return item
-
-    def _rehydrate(self, i: int) -> Candidate:
-        # Bit layouts documented alongside repro_enumerate_candidates in
-        # _ckern.c; they must stay in lockstep with this decode.
-        ext_word = self.c_ext[i]
-        ext_inputs = []
-        for k in range(ext_word & 3):
-            entry = (ext_word >> (2 + 9 * k)) & 0x1FF
-            ext_inputs.append(
-                (entry & 31, (entry >> 5) & 3, (entry >> 7) & 3))
-        out_word = self.c_out[i]
-        output = None if out_word < 0 else (out_word >> 2, out_word & 3)
-        edge_word = self.c_edges[i]
-        edges = []
-        for k in range(edge_word & 7):
-            packed = (edge_word >> (3 + 4 * k)) & 15
-            edges.append((packed >> 2, packed & 3))
-        return Candidate(self.program, self.c_start[i], self.c_end[i],
-                         ext_inputs, output, edges,
-                         _SER_CLASSES[self.c_ser[i]])
-
-    def __reduce__(self):
-        return (list, (list(self),))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PackedCandidateSet n={self.n} of {self.program.name!r}>"
-
-
-def candidate_columns(candidates) -> Optional[tuple]:
-    """``(n, start, end, ext, out, ser)`` columns for native scoring.
-
-    Free for a :class:`PackedCandidateSet` (its columns are the native
-    enumerator's output); plain lists — e.g. warm loads from the
-    artifact store — are packed once per list object through a bounded
-    id-keyed cache. Returns None when any candidate exceeds the packed
-    format (the callers then score per candidate in Python).
-    """
-    if isinstance(candidates, PackedCandidateSet):
-        return (candidates.n, candidates.c_start, candidates.c_end,
-                candidates.c_ext, candidates.c_out, candidates.c_ser)
-    key = id(candidates)
-    hit = _PACK_CACHE.get(key)
-    if hit is not None and hit[0] is candidates:
-        return hit[1]
-    cols = _pack_candidate_list(candidates)
-    if len(_PACK_CACHE) >= _CACHE_BOUND:
-        _PACK_CACHE.clear()
-    _PACK_CACHE[key] = (candidates, cols)
-    return cols
-
-
-def _pack_candidate_list(candidates) -> Optional[tuple]:
-    n = len(candidates)
-    c_start = array("q", bytes(8 * n))
-    c_end = array("q", bytes(8 * n))
-    c_ext = array("q", bytes(8 * n))
-    c_out = array("q", bytes(8 * n))
-    c_ser = array("q", bytes(8 * n))
-    for i, cand in enumerate(candidates):
-        size = cand.end - cand.start
-        if not 2 <= size <= 4 or len(cand.ext_inputs) > 3:
-            return None
-        ext_word = len(cand.ext_inputs)
-        for k, (reg, consumer_off, position) in enumerate(cand.ext_inputs):
-            if not (0 <= reg < 32 and 0 <= consumer_off <= 3
-                    and 0 <= position <= 3):
-                return None
-            ext_word |= (reg | (consumer_off << 5)
-                         | (position << 7)) << (2 + 9 * k)
-        if cand.output is None:
-            out_word = -1
-        else:
-            reg, producer_off = cand.output
-            if not (0 <= reg < 32 and 0 <= producer_off <= 3):
-                return None
-            out_word = (reg << 2) | producer_off
-        c_start[i] = cand.start
-        c_end[i] = cand.end
-        c_ext[i] = ext_word
-        c_out[i] = out_word
-        c_ser[i] = _SER_CLASSES.index(cand.serialization)
-    return (n, c_start, c_end, c_ext, c_out, c_ser)
-
 
 def enumerate_candidates(program: Program,
                          max_size: int = MAX_MG_SIZE,
                          max_ext_inputs: int = MAX_EXT_INPUTS,
                          live_out_sets: Optional[List[FrozenSet[int]]] = None
-                         ) -> Sequence:
+                         ) -> List[Candidate]:
     """All legal mini-graph candidates of ``program``.
 
     Candidates of every legal size (2..``max_size``) and position are
     returned, including overlapping ones; the selection stage resolves
     overlap. The result is ordered by ``(start, end)``.
-
-    When the compiled kernel is available (and the bounds fit its packed
-    format) the scan runs natively over flat static-listing columns and
-    returns a lazily-rehydrating :class:`PackedCandidateSet`; otherwise
-    this reference loop returns a plain list. Both produce identical
-    candidates in identical order.
     """
-    if (live_out_sets is None and _ckern.available()
-            and 2 <= max_size <= 4 and 0 <= max_ext_inputs <= 3):
-        cols = _static_columns(program)
-        packed = _ckern.plan_enumerate(
-            cols.opclass, cols.rd_eff, cols.srcs3, cols.live_mask,
-            cols.block_start, cols.block_end, max_size, max_ext_inputs)
-        if packed is not None:
-            n_cand, c_start, c_end, c_ext, c_out, c_edges, c_ser = packed
-            return PackedCandidateSet(program, n_cand, c_start, c_end,
-                                      c_ext, c_out, c_edges, c_ser)
     if live_out_sets is None:
         live_out_sets = liveness(program)
     insts = program.instructions

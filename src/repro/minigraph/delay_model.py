@@ -24,22 +24,12 @@ paper (see the *mcf* footnote in §5.1).
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Optional
 
-from ..pipeline import ckern as _ckern
-from ..pipeline.ckern import PLAN_MAX_SRC as _PLAN_MAX_SRC
-from .candidates import Candidate, _static_columns, candidate_columns
+from .candidates import Candidate
 from .slack import SlackProfile
 
 _NEG_INF = float("-inf")
-
-#: Verdict bitmask layout returned by :func:`assess_batch` (must match
-#: the bits written by ``repro_score_candidates`` in ``_ckern.c``).
-VERDICT_PROFILED = 1
-VERDICT_DEGRADES = 2
-VERDICT_DELAY_ONLY = 4
-VERDICT_SIAL = 8
 
 
 class DelayAssessment:
@@ -159,89 +149,3 @@ def assess(candidate: Candidate, profile: SlackProfile,
                            output_indices, degrades, degrades_delay_only,
                            degrades_sial, True)
 
-
-# ---------------------------------------------------------------------
-# Native whole-set scoring
-# ---------------------------------------------------------------------
-
-class _ProfileColumns:
-    """Flat scoring columns of one :class:`SlackProfile` (native input)."""
-
-    __slots__ = ("n_static", "present", "rel_issue", "src_ready", "slack",
-                 "out_ready", "has_out")
-
-
-# Id-keyed, bounded (profiles are immutable once built; keeping the
-# columns off the SlackProfile object keeps pickled artifacts identical
-# on both paths).
-_PCOL_CACHE: dict = {}
-_PCOL_BOUND = 8
-
-
-def _profile_columns(profile: SlackProfile,
-                     n_static: int) -> Optional[_ProfileColumns]:
-    key = id(profile)
-    hit = _PCOL_CACHE.get(key)
-    if hit is not None and hit[0] is profile and hit[1].n_static == n_static:
-        return hit[1]
-    cols = _ProfileColumns()
-    cols.n_static = n_static
-    cols.present = array("b", bytes(n_static))
-    cols.rel_issue = array("d", bytes(8 * n_static))
-    cols.src_ready = array("d", [_NEG_INF]) * (n_static * _PLAN_MAX_SRC)
-    cols.slack = array("d", bytes(8 * n_static))
-    cols.out_ready = array("d", bytes(8 * n_static))
-    cols.has_out = array("b", bytes(n_static))
-    for pc, entry in profile.entries.items():
-        if pc >= n_static or len(entry.src_ready) > _PLAN_MAX_SRC:
-            return None
-        cols.present[pc] = 1
-        cols.rel_issue[pc] = entry.rel_issue
-        cols.slack[pc] = entry.slack
-        if entry.out_ready is not None:
-            cols.has_out[pc] = 1
-            cols.out_ready[pc] = entry.out_ready
-        base = pc * _PLAN_MAX_SRC
-        for position, ready in enumerate(entry.src_ready):
-            if ready is not None:
-                cols.src_ready[base + position] = ready
-    if len(_PCOL_CACHE) >= _PCOL_BOUND:
-        _PCOL_CACHE.clear()
-    _PCOL_CACHE[key] = (profile, cols)
-    return cols
-
-
-def assess_batch(candidates, profile: SlackProfile,
-                 delay_tolerance: float = 0.0,
-                 measured_latencies: bool = False) -> Optional[array]:
-    """Rules #1–#4 verdicts for a whole candidate set in one C call.
-
-    Returns an ``array('q')`` of per-candidate bitmasks
-    (:data:`VERDICT_PROFILED` | :data:`VERDICT_DEGRADES` |
-    :data:`VERDICT_DELAY_ONLY` | :data:`VERDICT_SIAL`; ``0`` means the
-    profile does not cover the candidate, matching :func:`assess`
-    returning None), or None when the kernel is unavailable or the set
-    does not fit the packed format — callers then fall back to
-    per-candidate :func:`assess`, which computes the identical booleans.
-    """
-    n = len(candidates)
-    if n == 0 or not _ckern.available():
-        return None
-    cols = candidate_columns(candidates)
-    if cols is None:
-        return None
-    n_cand, c_start, c_end, c_ext, c_out, _c_ser = cols
-    program = getattr(candidates, "program", None)
-    if program is None:
-        program = candidates[0].program
-    static = _static_columns(program)
-    n_static = len(static.opclass)
-    pcols = _profile_columns(profile, n_static)
-    if pcols is None:
-        return None
-    return _ckern.plan_score(
-        n_cand, c_start, c_end, c_ext, c_out,
-        static.opclass, static.latency,
-        pcols.present, pcols.rel_issue, pcols.src_ready, pcols.slack,
-        pcols.out_ready, pcols.has_out,
-        measured_latencies, delay_tolerance)

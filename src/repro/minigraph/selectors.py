@@ -26,11 +26,8 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Set, Type
 
-from .candidates import Candidate, candidate_columns, enumerate_candidates
-from .delay_model import (
-    VERDICT_DEGRADES, VERDICT_DELAY_ONLY, VERDICT_PROFILED, VERDICT_SIAL,
-    assess, assess_batch,
-)
+from .candidates import Candidate, enumerate_candidates
+from .delay_model import assess
 from .selection import MiniGraphPlan, select
 from .serialization import SerializationClass
 from .slack import SlackProfile
@@ -107,15 +104,8 @@ class Selector:
         return {"kind": self.kind, **self.params()}
 
     def build_pool(self, sites: Iterable[MGSite],
-                   profile: Optional[SlackProfile],
-                   candidates=None) -> List[MGSite]:
-        """Shape-safe sites plus the admitted serializing ones.
-
-        ``candidates`` is the enumeration the sites were built from, in
-        site-id order; families that can score whole candidate sets
-        natively (Slack-Profile, Read-Port) use its packed columns, the
-        rest ignore it — admission decisions are identical either way.
-        """
+                   profile: Optional[SlackProfile]) -> List[MGSite]:
+        """Shape-safe sites plus the serializing ones :meth:`admit` takes."""
         pool = []
         for site in sites:
             if site.candidate.serialization is SerializationClass.NONE:
@@ -207,48 +197,6 @@ class SlackProfileSelector(Selector):
             return not assessment.degrades_delay_only
         return not assessment.degrades_sial
 
-    #: Verdict bit whose *set* state rejects a site, per variant.
-    _REJECT_BITS = {"full": VERDICT_DEGRADES, "delay": VERDICT_DELAY_ONLY,
-                    "sial": VERDICT_SIAL}
-
-    def build_pool(self, sites: Iterable[MGSite],
-                   profile: Optional[SlackProfile],
-                   candidates=None) -> List[MGSite]:
-        """One native scoring call for the whole site set when possible.
-
-        Site ids index the enumeration order (``build_templates``
-        assigns them candidate by candidate), so the verdict for
-        ``site`` is ``verdicts[site.id]``. Sites outside the packed set
-        and non-native runs go through :meth:`admit` per site — the
-        decisions are bit-identical, gated by the parity suite.
-        """
-        verdicts = None
-        if candidates is not None and profile is not None:
-            verdicts = assess_batch(
-                candidates, profile,
-                measured_latencies=self.measured_latencies)
-        if verdicts is None:
-            return super().build_pool(sites, profile)
-        reject_bit = self._REJECT_BITS[self.variant]
-        n = len(verdicts)
-        pool = []
-        for site in sites:
-            if site.candidate.serialization is SerializationClass.NONE:
-                pool.append(site)
-                continue
-            sid = site.id
-            if sid >= n:
-                if self.admit(site, profile):
-                    pool.append(site)
-                continue
-            verdict = verdicts[sid]
-            if not verdict & VERDICT_PROFILED:
-                if self.unprofiled_ok:
-                    pool.append(site)
-            elif not verdict & reject_bit:
-                pool.append(site)
-        return pool
-
     def params(self) -> dict:
         """All three knobs — ``unprofiled_ok`` is not encoded in the name."""
         return {"variant": self.variant,
@@ -281,8 +229,7 @@ class FixedSetSelector(Selector):
     def __init__(self, allowed_site_ids: Set[int]):
         self.allowed = set(allowed_site_ids)
 
-    def build_pool(self, sites: Iterable[MGSite], profile,
-                   candidates=None) -> List[MGSite]:
+    def build_pool(self, sites: Iterable[MGSite], profile) -> List[MGSite]:
         """Exactly the allowed site ids, ignoring serialization class."""
         return [site for site in sites if site.id in self.allowed]
 
@@ -358,39 +305,10 @@ class ReadPortAwareSelector(Selector):
             return False
         return self.pressure(site) == 0
 
-    def build_pool(self, sites: Iterable[MGSite], profile,
-                   candidates=None) -> List[MGSite]:
+    def build_pool(self, sites: Iterable[MGSite], profile) -> List[MGSite]:
         """Shape-safe sites keep a positive post-penalty score; the rest
         pass :meth:`admit`.
-
-        With ``candidates`` provided, demand and serialization class come
-        from the packed candidate columns (no per-site object walks);
-        the admission decisions are identical to the per-site path.
         """
-        cols = candidate_columns(candidates) if candidates is not None \
-            else None
-        if cols is not None:
-            n_cand, _start, _end, c_ext, _out, c_ser = cols
-            pool = []
-            for site in sites:
-                sid = site.id
-                if sid >= n_cand:
-                    if (site.candidate.serialization
-                            is SerializationClass.NONE):
-                        if self.score_scale(site) > 0.0:
-                            pool.append(site)
-                    elif self.admit(site, profile):
-                        pool.append(site)
-                    continue
-                pressure = max(0, (c_ext[sid] & 3) - self.port_budget)
-                if c_ser[sid] == 0:  # SER_NONE
-                    penalty = (self.pressure_weight * pressure
-                               / self.MAX_EXT_INPUTS)
-                    if max(0.0, 1.0 - penalty) > 0.0:
-                        pool.append(site)
-                elif c_ser[sid] != 2 and pressure == 0:  # not UNBOUNDED
-                    pool.append(site)
-            return pool
         pool = []
         for site in sites:
             if site.candidate.serialization is SerializationClass.NONE:
@@ -426,8 +344,7 @@ def make_plan(program, freq_counts: List[int], selector: Selector,
     (program, trace) — fuzz sweeps, experiment matrices — reuse one
     ``build_templates`` pass: enumeration and template grouping are
     selector-independent, so the hoisted sites produce identical plans.
-    When provided, it must come from ``candidates`` (site ids index that
-    enumeration).
+    When provided, ``candidates`` is not consulted.
 
     ``verify=True`` audits the resulting plan against the paper's
     structural contract (:func:`repro.check.lint.check_plan`) and raises
@@ -440,7 +357,7 @@ def make_plan(program, freq_counts: List[int], selector: Selector,
     if sites is None:
         templates = build_templates(candidates, freq_counts)
         sites = [site for template in templates for site in template.sites]
-    pool = selector.build_pool(sites, profile, candidates)
+    pool = selector.build_pool(sites, profile)
     plan = select(pool, budget=budget)
     if verify is None:
         verify = bool(os.environ.get("REPRO_CHECK_PLANS"))

@@ -454,12 +454,6 @@ def collect_ckern(registry: MetricsRegistry, counters=None) -> None:
     registry.counter("ckern.profiles_built_native",
                      "Slack profiles built by the one-call C path").inc(
         counters.get("profiles_built_native", 0))
-    registry.counter("ckern.candidates_enumerated_native",
-                     "Candidates packed by the C enumerator").inc(
-        counters.get("candidates_enumerated_native", 0))
-    registry.counter("ckern.scoring_calls",
-                     "Whole-set delay-model scoring calls").inc(
-        counters.get("scoring_calls", 0))
     registry.counter("ckern.global_folds_native",
                      "Global-slack event folds run in C").inc(
         counters.get("global_folds_native", 0))

@@ -1796,16 +1796,14 @@ void repro_tap_fold(const int64_t *events, int64_t n_words,
 }
 
 /* ------------------------------------------------------------------ */
-/* plan-construction kernels: profile build, candidate enumeration,   */
-/* delay-model scoring, global-slack fold                             */
+/* plan-construction kernels: profile build, global-slack fold       */
 /* ------------------------------------------------------------------ */
 /* Statement-for-statement ports of the plan-side hot paths in
- * minigraph/slack.py, minigraph/candidates.py (+ dataflow.py /
- * serialization.py), minigraph/delay_model.py and
- * analysis/global_slack.py. The Python implementations remain the
- * behavioural reference; results must be bit-identical (integer sums
- * everywhere a sum is taken, and doubles only where the Python code
- * holds a float, combined in the same operation order). */
+ * minigraph/slack.py and analysis/global_slack.py. The Python
+ * implementations remain the behavioural reference; results must be
+ * bit-identical (integer sums everywhere a sum is taken, and doubles
+ * only where the Python code holds a float, combined in the same
+ * operation order). */
 
 /* Return codes of the plan kernels (beyond RC_OK/RC_NOMEM). */
 #define RC_UNSUPPORTED 4   /* shape outside packed bounds: Python path */
@@ -1900,314 +1898,6 @@ int64_t repro_profile_build(
     meta[0] = n_order;
     meta[1] = anchor;
     free(cells); free(issue_cycle); free(out_ready);
-    return RC_OK;
-}
-
-/* Candidate packing formats (decoded by candidates.py, must match):
- *   ext:   bits 0-1 count (<= 3); entry k at bits 2+9k:
- *          reg (5 bits) | consumer_offset << 5 (2) | position << 7 (2)
- *   out:   -1 for no live register output, else (reg << 2) | producer
- *   edges: bits 0-2 count (<= 6); entry k at bits 3+4k:
- *          (producer_offset << 2) | consumer_offset, sorted ascending
- *   ser:   0 = NONE, 1 = BOUNDED, 2 = UNBOUNDED                      */
-
-/* The enumeration loop of candidates.enumerate_candidates over static
- * listing columns: per basic block, every window [start, end) of
- * aggregable instructions with <= 1 memory op, <= max_ext external
- * inputs (window extension stops once exceeded: inputs only grow),
- * <= 1 live register output, and any control transfer last. The
- * interface/edge/classification analyses mirror dataflow.py and
- * serialization.py exactly. ``rd_eff`` is the destination register for
- * writes_reg instructions, else -1; ``srcs3`` is 3-wide with -1 tail
- * padding; ``live_mask`` is the per-instruction live-out register
- * bitmask. Requires max_size <= 4 and max_ext <= 3 (the packed-format
- * bounds; the Python caller falls back otherwise). Returns the number
- * of candidates, or -(RC_*) on failure. */
-int64_t repro_enumerate_candidates(
-        const int64_t *opclass, const int64_t *rd_eff,
-        const int64_t *srcs3, const int64_t *live_mask, int64_t n_static,
-        const int64_t *block_start, const int64_t *block_end,
-        int64_t n_blocks, int64_t max_size, int64_t max_ext,
-        int64_t *c_start, int64_t *c_end, int64_t *c_ext, int64_t *c_out,
-        int64_t *c_edges, int64_t *c_ser, int64_t cap) {
-    if (max_size < 2 || max_size > 4 || max_ext < 0 || max_ext > 3)
-        return -RC_UNSUPPORTED;
-    int64_t n_cand = 0;
-    for (int64_t bi = 0; bi < n_blocks; bi++) {
-        int64_t bs = block_start[bi];
-        int64_t be = block_end[bi];
-        for (int64_t start = bs; start < be - 1; start++) {
-            int64_t max_end = be < start + max_size ? be
-                                                    : start + max_size;
-            int64_t mem_ops = 0;
-            for (int64_t end = start + 1; end <= max_end; end++) {
-                int64_t cls = opclass[end - 1];
-                if (cls != OC_SIMPLE && cls != OC_LOAD &&
-                    cls != OC_STORE && cls != OC_BRANCH)
-                    break;
-                if (cls == OC_LOAD || cls == OC_STORE) {
-                    mem_ops += 1;
-                    if (mem_ops > 1) break;
-                }
-                int64_t size = end - start;
-                if (size >= 2) {
-                    /* group_interface: external inputs in first-use
-                     * order, live outputs by producer offset. */
-                    uint32_t defined_mask = 0, seen_ext = 0;
-                    int64_t defined_off[32];
-                    int64_t ext_reg[12], ext_off[12], ext_pos[12];
-                    int64_t n_ext = 0;
-                    for (int64_t off = 0; off < size; off++) {
-                        const int64_t *s3 = srcs3 + (start + off) * 3;
-                        for (int64_t posn = 0; posn < 3; posn++) {
-                            int64_t src = s3[posn];
-                            if (src < 0) break;   /* tail padding */
-                            if (src == 0 ||
-                                ((defined_mask >> src) & 1))
-                                continue;
-                            if (!((seen_ext >> src) & 1)) {
-                                seen_ext |= (uint32_t)1 << src;
-                                ext_reg[n_ext] = src;
-                                ext_off[n_ext] = off;
-                                ext_pos[n_ext] = posn;
-                                n_ext++;
-                            }
-                        }
-                        int64_t r = rd_eff[start + off];
-                        if (r >= 0) {
-                            defined_mask |= (uint32_t)1 << r;
-                            defined_off[r] = off;
-                        }
-                    }
-                    if (n_ext > max_ext) break;
-                    uint32_t outm = defined_mask &
-                                    (uint32_t)live_mask[end - 1];
-                    int64_t n_out = 0, out_reg = -1, out_off = -1;
-                    for (int64_t r = 1; r < 32; r++) {
-                        if ((outm >> r) & 1) {
-                            n_out++;
-                            out_reg = r;
-                            out_off = defined_off[r];
-                        }
-                    }
-                    if (n_out <= 1) {
-                        /* internal_edges: dedup'd (producer, consumer)
-                         * pairs; producer always earlier, so the
-                         * a-major scan emits them sorted. */
-                        uint32_t lw_mask = 0;
-                        int64_t lw_off[32];
-                        uint16_t edge_mask = 0;
-                        for (int64_t off = 0; off < size; off++) {
-                            const int64_t *s3 = srcs3 +
-                                                (start + off) * 3;
-                            for (int64_t posn = 0; posn < 3; posn++) {
-                                int64_t src = s3[posn];
-                                if (src < 0) break;
-                                if ((lw_mask >> src) & 1)
-                                    edge_mask |= (uint16_t)1
-                                        << (lw_off[src] * 4 + off);
-                            }
-                            int64_t r = rd_eff[start + off];
-                            if (r >= 0) {
-                                lw_mask |= (uint32_t)1 << r;
-                                lw_off[r] = off;
-                            }
-                        }
-                        int64_t epack = 0, n_edges = 0;
-                        uint8_t uadj[4] = {0, 0, 0, 0};
-                        uint8_t dadj[4] = {0, 0, 0, 0};
-                        for (int64_t a = 0; a < size; a++) {
-                            for (int64_t b = 0; b < size; b++) {
-                                if (!((edge_mask >> (a * 4 + b)) & 1))
-                                    continue;
-                                epack |= (int64_t)((a << 2) | b)
-                                    << (3 + 4 * n_edges);
-                                n_edges++;
-                                uadj[a] |= (uint8_t)(1 << b);
-                                uadj[b] |= (uint8_t)(1 << a);
-                                dadj[a] |= (uint8_t)(1 << b);
-                            }
-                        }
-                        epack |= n_edges;
-                        /* classify (serialization.py): */
-                        int serial = 0;
-                        for (int64_t k = 0; k < n_ext; k++)
-                            if (ext_off[k] > 0) { serial = 1; break; }
-                        int64_t ser;
-                        if (!serial) {
-                            ser = 0;                     /* NONE */
-                        } else if (n_out == 0) {
-                            ser = 1;                     /* BOUNDED */
-                        } else {
-                            /* weak connectivity from node 0 */
-                            uint8_t reach = 1;
-                            for (int64_t it = 0; it < size; it++)
-                                for (int64_t i = 0; i < size; i++)
-                                    if ((reach >> i) & 1)
-                                        reach |= uadj[i];
-                            uint8_t all = (uint8_t)((1 << size) - 1);
-                            if (reach != all) {
-                                ser = 2;                 /* UNBOUNDED */
-                            } else {
-                                /* directed transitive closure */
-                                uint8_t dreach[4];
-                                for (int64_t i = 0; i < size; i++)
-                                    dreach[i] = dadj[i];
-                                for (int64_t it = 0; it < size; it++)
-                                    for (int64_t i = 0; i < size; i++)
-                                        for (int64_t j = 0; j < size;
-                                             j++)
-                                            if ((dreach[i] >> j) & 1)
-                                                dreach[i] |= dreach[j];
-                                ser = 1;                 /* BOUNDED */
-                                for (int64_t k = 0; k < n_ext; k++) {
-                                    int64_t cons = ext_off[k];
-                                    if (cons == 0) continue;
-                                    if (cons != out_off &&
-                                        !((dreach[cons] >> out_off)
-                                          & 1)) {
-                                        ser = 2;         /* UNBOUNDED */
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        if (n_cand >= cap) return -RC_NOMEM;
-                        c_start[n_cand] = start;
-                        c_end[n_cand] = end;
-                        int64_t xpack = n_ext;
-                        for (int64_t k = 0; k < n_ext; k++)
-                            xpack |= (ext_reg[k] | (ext_off[k] << 5) |
-                                      (ext_pos[k] << 7))
-                                << (2 + 9 * k);
-                        c_ext[n_cand] = xpack;
-                        c_out[n_cand] = n_out
-                            ? ((out_reg << 2) | out_off) : -1;
-                        c_edges[n_cand] = epack;
-                        c_ser[n_cand] = ser;
-                        n_cand++;
-                    }
-                }
-                if (cls == OC_BRANCH) break;   /* transfer must be last */
-            }
-        }
-    }
-    return n_cand;
-}
-
-/* Delay-model rules #1-#4 (delay_model.assess) for a whole candidate
- * set against a packed profile, one verdict bitmask per candidate:
- * bit 0 profiled (profile covers the window), bit 1 degrades (rule #4),
- * bit 2 degrades on any output delay, bit 3 SIAL. Profile columns are
- * doubles (the exact division results Python holds); absent src-ready
- * values are -inf, exactly the _NEG_INF substitution in assess(). All
- * float arithmetic replicates the Python operation order. */
-int64_t repro_score_candidates(
-        int64_t n_cand, const int64_t *c_start, const int64_t *c_end,
-        const int64_t *c_ext, const int64_t *c_out,
-        const int64_t *opclass, const int64_t *latency, int64_t n_static,
-        const int8_t *p_present, const double *p_rel_issue,
-        const double *p_src_ready, const double *p_slack,
-        const double *p_out_ready, const int8_t *p_has_out,
-        int64_t measured, double tolerance, int64_t *verdict) {
-    for (int64_t i = 0; i < n_cand; i++) {
-        int64_t start = c_start[i];
-        int64_t end = c_end[i];
-        int64_t size = end - start;
-        if (size < 1 || size > 4 || start < 0 || end > n_static) {
-            verdict[i] = 0;   /* outside the profile: unprofiled */
-            continue;
-        }
-        int covered = 1;
-        for (int64_t k = 0; k < size; k++)
-            if (!p_present[start + k]) { covered = 0; break; }
-        if (!covered) {
-            verdict[i] = 0;
-            continue;
-        }
-        double lat[4];
-        for (int64_t k = 0; k < size; k++)
-            lat[k] = (double)latency[start + k];
-        if (measured) {
-            for (int64_t k = 0; k < size; k++) {
-                if (p_has_out[start + k]) {
-                    double observed = p_out_ready[start + k] -
-                                      p_rel_issue[start + k];
-                    if (observed > lat[k]) lat[k] = observed;
-                }
-            }
-        }
-        /* Rule #1: the handle waits for every external input. */
-        int64_t xpack = c_ext[i];
-        int64_t n_ext = xpack & 3;
-        double ready_vals[3], ser_ready[3];
-        int64_t n_ready = 0, n_ser = 0;
-        for (int64_t k = 0; k < n_ext; k++) {
-            int64_t entry = (xpack >> (2 + 9 * k)) & 0x1ff;
-            int64_t cons = (entry >> 5) & 3;
-            int64_t posn = (entry >> 7) & 3;
-            double rv = p_src_ready[(start + cons) * PLAN_MAX_SRC
-                                    + posn];
-            ready_vals[n_ready++] = rv;
-            if (cons > 0) ser_ready[n_ser++] = rv;
-        }
-        double issue0 = p_rel_issue[start];
-        if (n_ready) {
-            double m = ready_vals[0];
-            for (int64_t k = 1; k < n_ready; k++)
-                if (ready_vals[k] > m) m = ready_vals[k];
-            if (m > issue0) issue0 = m;
-        }
-        /* Rule #2: strictly serial internal execution. */
-        double issue_mg[4];
-        issue_mg[0] = issue0;
-        for (int64_t k = 1; k < size; k++)
-            issue_mg[k] = issue_mg[k - 1] + lat[k - 1];
-        /* Rule #3: per-constituent induced delay. */
-        double delays[4];
-        for (int64_t k = 0; k < size; k++)
-            delays[k] = issue_mg[k] - p_rel_issue[start + k];
-        /* Rule #4: register output plus any store or branch. */
-        int64_t out_idx[5];
-        int64_t n_outi = 0;
-        if (c_out[i] >= 0) out_idx[n_outi++] = c_out[i] & 3;
-        for (int64_t off = 0; off < size; off++) {
-            int64_t cls = opclass[start + off];
-            if (cls == OC_STORE || cls == OC_BRANCH) {
-                int dup = 0;
-                for (int64_t j = 0; j < n_outi; j++)
-                    if (out_idx[j] == off) { dup = 1; break; }
-                if (!dup) out_idx[n_outi++] = off;
-            }
-        }
-        int64_t degrades = 0;
-        for (int64_t j = 0; j < n_outi; j++) {
-            int64_t idx = out_idx[j];
-            if (delays[idx] > p_slack[start + idx] + tolerance) {
-                degrades = 1;
-                break;
-            }
-        }
-        int64_t delay_only = 0;
-        for (int64_t j = 0; j < n_outi; j++)
-            if (delays[out_idx[j]] > tolerance) { delay_only = 1; break; }
-        /* SIAL: the last-arriving mg-input feeds a non-first
-         * constituent and arrives after constituent 0 could issue. */
-        int64_t sial = 0;
-        if (n_ser && n_ready) {
-            double last = ready_vals[0];
-            for (int64_t k = 1; k < n_ready; k++)
-                if (ready_vals[k] > last) last = ready_vals[k];
-            if (last > p_rel_issue[start]) {
-                double ms = ser_ready[0];
-                for (int64_t k = 1; k < n_ser; k++)
-                    if (ser_ready[k] > ms) ms = ser_ready[k];
-                if (ms >= last) sial = 1;
-            }
-        }
-        verdict[i] = 1 | (degrades << 1) | (delay_only << 2) |
-                     (sial << 3);
-    }
     return RC_OK;
 }
 

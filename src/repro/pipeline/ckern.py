@@ -180,10 +180,8 @@ counters = {
     "batch_fallback_copy_back_error": 0,  # result copy-back raised
     "batch_threads_last": 0,   # threads used by the most recent batch
     "tap_overflow_retries": 0,  # single-point 4x event-buffer retries
-    # Plan-construction kernels (profile build / enumeration / scoring).
+    # Plan-construction kernels (profile build / global-slack fold).
     "profiles_built_native": 0,       # repro_profile_build successes
-    "candidates_enumerated_native": 0,  # candidates packed by C enumeration
-    "scoring_calls": 0,               # repro_score_candidates calls
     "global_folds_native": 0,         # repro_global_fold successes
     "plan_fallbacks": 0,       # plan-kernel calls degraded to Python
 }
@@ -285,19 +283,6 @@ def _load():
             _I64P, _I64P, _I64P, _I64P, _I64P,           # count..n_src
             _I64P, _I64P, _I64P, _I64P,                  # out/slack/min
             _I64P, _I64P]                                # order, meta
-        lib.repro_enumerate_candidates.restype = ctypes.c_int64
-        lib.repro_enumerate_candidates.argtypes = [
-            _I64P, _I64P, _I64P, _I64P, ctypes.c_int64,  # static listing
-            _I64P, _I64P, ctypes.c_int64,                # blocks
-            ctypes.c_int64, ctypes.c_int64,              # max_size/ext
-            _I64P, _I64P, _I64P, _I64P, _I64P, _I64P,    # candidate cols
-            ctypes.c_int64]                              # cap
-        lib.repro_score_candidates.restype = ctypes.c_int64
-        lib.repro_score_candidates.argtypes = [
-            ctypes.c_int64, _I64P, _I64P, _I64P, _I64P,  # candidates
-            _I64P, _I64P, ctypes.c_int64,                # static listing
-            _I8P, _DBLP, _DBLP, _DBLP, _DBLP, _I8P,      # profile columns
-            ctypes.c_int64, ctypes.c_double, _I64P]      # opts, verdicts
         lib.repro_global_fold.restype = ctypes.c_int64
         lib.repro_global_fold.argtypes = [
             _I64P, ctypes.c_int64, ctypes.c_int64,       # event log
@@ -689,12 +674,11 @@ def tap_fold(events: array, n_words: int, cells: array,
 # ---------------------------------------------------------------------
 #
 # Thin array-in/array-out wrappers over the _ckern.c plan entry points.
-# Domain logic (what the columns mean, how packed triples rehydrate to
-# Candidate objects) lives with the Python reference implementations in
-# minigraph/slack.py, minigraph/candidates.py, minigraph/delay_model.py
-# and analysis/global_slack.py; every wrapper returns None when the
-# library is unavailable (or the shape exceeds the packed-format
-# bounds) so those references remain the fallback path.
+# Domain logic (what the columns mean) lives with the Python reference
+# implementations in minigraph/slack.py and analysis/global_slack.py;
+# every wrapper returns None when the library is unavailable (or the
+# shape exceeds the packed-format bounds) so those references remain
+# the fallback path.
 
 
 class PackedProfileAcc:
@@ -773,94 +757,6 @@ def profile_build(events: array, n_words: int, n_committed: int,
     acc.anchor = meta[1]
     counters["profiles_built_native"] += 1
     return acc
-
-
-def plan_enumerate(opclass: array, rd_eff: array, srcs3: array,
-                   live_mask: array, block_start: array, block_end: array,
-                   max_size: int, max_ext: int) -> Optional[tuple]:
-    """Native candidate enumeration over static-listing columns.
-
-    Returns ``(n, start, end, ext, out, edges, ser)`` packed candidate
-    columns (formats documented in ``_ckern.c``), or None when the
-    library is unavailable or the window bounds exceed the packed
-    format (``max_size > 4`` / ``max_ext > 3``) — the caller then runs
-    the Python enumeration loop.
-    """
-    if not available() or not (2 <= max_size <= 4) or not \
-            (0 <= max_ext <= 3):
-        return None
-    lib = _load()
-    n_static = len(opclass)
-    n_blocks = len(block_start)
-    cap = 3 * n_static + 8
-    cols = tuple(array("q", bytes(8 * cap)) for _ in range(6))
-    keep = []
-
-    def p64(arr):
-        buf, owner = _col(arr, ctypes.c_int64)
-        keep.append((buf, owner))
-        return ctypes.cast(buf, _I64P)
-
-    n_cand = lib.repro_enumerate_candidates(
-        p64(opclass), p64(rd_eff), p64(srcs3), p64(live_mask), n_static,
-        p64(block_start), p64(block_end), n_blocks, max_size, max_ext,
-        p64(cols[0]), p64(cols[1]), p64(cols[2]), p64(cols[3]),
-        p64(cols[4]), p64(cols[5]), cap)
-    del keep
-    if n_cand < 0:
-        counters["plan_fallbacks"] += 1
-        return None
-    counters["candidates_enumerated_native"] += n_cand
-    return (n_cand,) + cols
-
-
-def plan_score(n_cand: int, c_start: array, c_end: array, c_ext: array,
-               c_out: array, opclass: array, latency: array,
-               p_present: array, p_rel_issue: array, p_src_ready: array,
-               p_slack: array, p_out_ready: array, p_has_out: array,
-               measured: bool, tolerance: float) -> Optional[array]:
-    """Delay-model rules #1-#4 for a whole candidate set, in C.
-
-    Returns one verdict bitmask per candidate (bit 0 profiled, bit 1
-    degrades, bit 2 degrades on any output delay, bit 3 SIAL), or None
-    when the library is unavailable — the caller then assesses per
-    candidate through ``delay_model.assess``.
-    """
-    if not available() or n_cand <= 0:
-        return None
-    lib = _load()
-    verdicts = array("q", bytes(8 * n_cand))
-    keep = []
-
-    def p64(arr):
-        buf, owner = _col(arr, ctypes.c_int64)
-        keep.append((buf, owner))
-        return ctypes.cast(buf, _I64P)
-
-    def p8(arr):
-        buf, owner = _col(arr, ctypes.c_int8)
-        keep.append((buf, owner))
-        return ctypes.cast(buf, _I8P)
-
-    def pd(arr):
-        if not len(arr):
-            arr = array("d", [0.0])
-        buf = (ctypes.c_double * len(arr)).from_buffer(arr)
-        keep.append((buf, arr))
-        return ctypes.cast(buf, _DBLP)
-
-    rc = lib.repro_score_candidates(
-        n_cand, p64(c_start), p64(c_end), p64(c_ext), p64(c_out),
-        p64(opclass), p64(latency), len(opclass),
-        p8(p_present), pd(p_rel_issue), pd(p_src_ready), pd(p_slack),
-        pd(p_out_ready), p8(p_has_out),
-        1 if measured else 0, float(tolerance), p64(verdicts))
-    del keep
-    if rc != RC_OK:
-        counters["plan_fallbacks"] += 1
-        return None
-    counters["scoring_calls"] += 1
-    return verdicts
 
 
 def global_fold(events: array, n_words: int, n_committed: int,

@@ -150,3 +150,25 @@ def test_bench_with_telemetry_spans_points(runner_module, tmp_path):
     span = next(l for l in lines[1:] if l.get("cat") == "bench")
     assert span["name"] == "crc32/none" and span["ph"] == "X"
     assert span["args"]["cycles"] == traced.points[0].cycles
+
+
+def test_plan_bench_report_round_trip(tmp_path):
+    from repro.harness.bench import (
+        PLAN_SCHEMA_VERSION, check_plan_report, load_plan_report,
+        run_plan_bench, write_plan_report,
+    )
+    from repro.pipeline import ckern
+
+    if not ckern.available():
+        pytest.skip("plan bench needs the compiled kernel")
+    plan = run_plan_bench(("crc32",), label="plantest", repeat=1)
+    assert plan.schema == PLAN_SCHEMA_VERSION == 2
+    assert [p.bench for p in plan.points] == ["crc32"]
+    assert check_plan_report(plan) == []
+    path = write_plan_report(plan, tmp_path)
+    assert load_plan_report(path) == plan
+    stale = json.loads(path.read_text())
+    stale["schema"] = 1
+    path.write_text(json.dumps(stale))
+    with pytest.raises(ValueError, match="schema 1"):
+        load_plan_report(path)

@@ -1,36 +1,21 @@
 """Plan-kernel parity: native plan construction vs the Python reference.
 
-The compiled kernel carries three plan-construction entry points —
+The compiled kernel carries two plan-construction entry points —
 ``repro_profile_build`` (packed SoA slack profiles straight from the
-event-tap log), ``repro_enumerate_candidates`` (C candidate discovery
-over packed static columns), and ``repro_score_candidates`` (the §4
-delay-model rules over whole candidate sets). Python keeps the
-reference implementation of each, selected by the same
-``REPRO_PURE_PY`` / no-compiler contract as the timing kernel. These
-tests pin the bit-identity of the two paths: same profiles, same
-candidates (down to pickle bytes), same selector pools — across the
-golden-matrix workloads, ≥50 fuzz-derived programs, and the degrade
-paths (pure-Python forced, kernel-ineligible shapes).
+event-tap log) and ``repro_global_fold`` (the global-slack decode and
+backward DP). Python keeps the reference implementation of each,
+selected by the same ``REPRO_PURE_PY`` / no-compiler contract as the
+timing kernel. These tests pin the bit-identity of the two paths across
+the golden-matrix workloads, and the degrade paths (pure-Python forced,
+kernel-ineligible shapes, library loss).
 """
 
 import pickle
+from array import array
 
 import pytest
 
-from repro.check.fuzz import FuzzSpec
-from repro.minigraph import candidates as candidates_mod
-from repro.minigraph.candidates import (
-    PackedCandidateSet, enumerate_candidates,
-)
-from repro.minigraph.delay_model import (
-    VERDICT_DEGRADES, VERDICT_DELAY_ONLY, VERDICT_PROFILED,
-    VERDICT_SIAL, assess, assess_batch,
-)
-from repro.minigraph.selectors import (
-    ReadPortAwareSelector, SlackProfileSelector,
-)
 from repro.minigraph.slack import SlackCollector
-from repro.minigraph.templates import build_templates
 from repro.pipeline import ckern
 from repro.pipeline.config import config_by_name
 from repro.pipeline.core import OoOCore
@@ -47,33 +32,12 @@ PROFILE_CONFIG = "reduced"
 WORKLOADS = ["crc32", "adpcm", "fft", "gzip"]
 
 #: Shared memoizing runner: traces are input-deterministic, so one
-#: per-module instance keeps the fuzz/golden sweeps fast.
+#: per-module instance keeps the golden sweeps fast.
 RUNNER = Runner()
-
-#: The golden enumeration matrix: every (max_size, max_ext) corner the
-#: packed-candidate encoding supports, plus one oversize point that
-#: must degrade to the Python enumerator.
-SIZES = [2, 3, 4]
-EXTS = [0, 1, 2, 3]
 
 
 def _program(name):
     return benchmark(name).program("train")
-
-
-def _fresh_enumeration(program, max_size, max_ext):
-    """Enumerate with cold caches so each call pays its full cost."""
-    candidates_mod._STATIC_CACHE.clear()
-    candidates_mod._PACK_CACHE.clear()
-    return enumerate_candidates(program, max_size=max_size,
-                                max_ext_inputs=max_ext)
-
-
-def _candidate_fields(candidate):
-    return (candidate.start, candidate.end, candidate.ext_inputs,
-            candidate.output, candidate.edges, candidate.serialization,
-            candidate.has_load, candidate.has_store, candidate.has_branch,
-            candidate.latencies)
 
 
 def _profile_pair(name, monkeypatch):
@@ -125,170 +89,52 @@ def test_packed_profile_entry_order_preserved(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# C candidate enumeration
-# ---------------------------------------------------------------------
-
-@needs_kernel
-@pytest.mark.parametrize("name", WORKLOADS)
-@pytest.mark.parametrize("max_size", SIZES)
-@pytest.mark.parametrize("max_ext", EXTS)
-def test_enumeration_parity_golden_matrix(name, max_size, max_ext,
-                                          monkeypatch):
-    """Field-for-field and pickle-byte parity on every matrix corner."""
-    program = _program(name)
-    native = _fresh_enumeration(program, max_size, max_ext)
-    assert isinstance(native, PackedCandidateSet)
-    monkeypatch.setenv("REPRO_PURE_PY", "1")
-    reference = _fresh_enumeration(program, max_size, max_ext)
-    monkeypatch.delenv("REPRO_PURE_PY")
-    assert not isinstance(reference, PackedCandidateSet)
-    assert len(native) == len(reference)
-    for got, want in zip(native, reference):
-        assert _candidate_fields(got) == _candidate_fields(want)
-    # The store boundary materializes list(...): stored artifacts must
-    # be byte-identical whichever enumerator produced them.
-    assert pickle.dumps(list(native)) == pickle.dumps(list(reference))
-
-
-@needs_kernel
-@pytest.mark.parametrize("seed", range(50))
-def test_enumeration_parity_fuzz(seed, monkeypatch):
-    """≥50 fuzz-derived programs agree between the enumerators."""
-    program = FuzzSpec.derive(seed).build()
-    native = _fresh_enumeration(program, 4, 3)
-    monkeypatch.setenv("REPRO_PURE_PY", "1")
-    reference = _fresh_enumeration(program, 4, 3)
-    monkeypatch.delenv("REPRO_PURE_PY")
-    assert len(native) == len(reference)
-    for got, want in zip(native, reference):
-        assert _candidate_fields(got) == _candidate_fields(want)
-
-
-@needs_kernel
-def test_enumeration_lazy_rehydration_is_cached():
-    """Indexing a PackedCandidateSet twice returns the same object."""
-    native = _fresh_enumeration(_program("crc32"), 4, 3)
-    assert len(native)
-    assert native[0] is native[0]
-
-
-# ---------------------------------------------------------------------
-# Native scoring
-# ---------------------------------------------------------------------
-
-def _scoring_fixture(name):
-    program = _program(name)
-    candidates = _fresh_enumeration(program, 4, 3)
-    trace = RUNNER.trace(name, "train")
-    config = config_by_name(PROFILE_CONFIG)
-    collector = SlackCollector(program, config_name=config.name,
-                               input_name="train")
-    OoOCore(config, trace.packed(), collector=collector,
-            warm_caches=True).run()
-    profile = collector.profile()
-    templates = build_templates(candidates, trace.dynamic_count_of())
-    sites = [site for template in templates for site in template.sites]
-    return candidates, profile, sites
-
-
-@needs_kernel
-@pytest.mark.parametrize("name", WORKLOADS)
-@pytest.mark.parametrize("variant", ["full", "delay", "sial"])
-def test_scoring_pool_parity(name, variant, monkeypatch):
-    """Batch-scored selector pools == per-site assess() pools."""
-    candidates, profile, sites = _scoring_fixture(name)
-    selector = SlackProfileSelector(variant=variant)
-    native = selector.build_pool(sites, profile, candidates)
-    monkeypatch.setenv("REPRO_PURE_PY", "1")
-    reference = selector.build_pool(sites, profile, candidates)
-    monkeypatch.delenv("REPRO_PURE_PY")
-    assert [site.id for site in native] == [site.id for site in reference]
-
-
-@needs_kernel
-@pytest.mark.parametrize("name", ["crc32", "fft"])
-def test_scoring_verdicts_match_per_site_assess(name):
-    """The verdict bitmask agrees with assess() site for site."""
-    candidates, profile, sites = _scoring_fixture(name)
-    verdicts = assess_batch(candidates, profile)
-    assert verdicts is not None
-    for site in sites:
-        expected = assess(site.candidate, profile)
-        verdict = int(verdicts[site.id])
-        if expected is None:
-            assert verdict == 0, f"site {site.id}"
-        else:
-            assert verdict & VERDICT_PROFILED
-            assert bool(verdict & VERDICT_DEGRADES) == \
-                expected.degrades
-            assert bool(verdict & VERDICT_DELAY_ONLY) == \
-                expected.degrades_delay_only
-            assert bool(verdict & VERDICT_SIAL) == \
-                expected.degrades_sial
-
-
-@needs_kernel
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_read_port_selector_parity(name, monkeypatch):
-    """ReadPortAwareSelector agrees with its per-site path."""
-    candidates, profile, sites = _scoring_fixture(name)
-    selector = ReadPortAwareSelector(port_budget=2, pressure_weight=1.0)
-    native = selector.build_pool(sites, profile, candidates)
-    monkeypatch.setenv("REPRO_PURE_PY", "1")
-    reference = selector.build_pool(sites, profile, candidates)
-    monkeypatch.delenv("REPRO_PURE_PY")
-    assert [site.id for site in native] == [site.id for site in reference]
-
-
-# ---------------------------------------------------------------------
 # Degrade paths
 # ---------------------------------------------------------------------
 
 def test_pure_python_env_disables_every_plan_kernel(monkeypatch):
     """REPRO_PURE_PY routes every entry point to the reference path."""
     monkeypatch.setenv("REPRO_PURE_PY", "1")
-    program = _program("crc32")
-    result = _fresh_enumeration(program, 4, 3)
-    assert not isinstance(result, PackedCandidateSet)
     assert ckern.profile_build(None, 0, 0, None, None, 0, 0, 64) is None
-    assert ckern.plan_enumerate(None, None, None, None, None, None,
-                                4, 3) is None
-    assert assess_batch(result or [], None) is None
+    assert ckern.global_fold(None, 0, 0, None, 0, 64) is None
 
 
 @needs_kernel
 def test_oversize_shapes_degrade_to_python():
-    """Sizes the packed encoding cannot carry fall back cleanly."""
-    program = _program("dijkstra")
-    oversize = _fresh_enumeration(program, 5, 3)
-    assert not isinstance(oversize, PackedCandidateSet)
-    wide = _fresh_enumeration(program, 4, 4)
-    assert not isinstance(wide, PackedCandidateSet)
+    """Pcs outside the packed profile columns fall back cleanly."""
+    packed = RUNNER.trace("crc32", "train").packed()
+    before = ckern.counters["plan_fallbacks"]
+    # One static column: every committed pc past 0 is out of bounds.
+    acc = ckern.profile_build(array("q", [0, 0, 0]), 0, packed.n, packed,
+                              array("b", [0]), 1, 0, 64)
+    assert acc is None
+    assert ckern.counters["plan_fallbacks"] == before + 1
 
 
 @needs_kernel
 def test_library_loss_degrades_to_python(monkeypatch):
     """available() flipping false mid-session falls back, not crashes."""
-    program = _program("crc32")
-    native = list(_fresh_enumeration(program, 4, 3))
+    native, _ = _profile_pair("crc32", monkeypatch)
     monkeypatch.setattr(ckern, "available", lambda: False)
-    reference = list(_fresh_enumeration(program, 4, 3))
-    assert [_candidate_fields(c) for c in native] == \
-        [_candidate_fields(c) for c in reference]
+    before = dict(ckern.counters)
+    program = _program("crc32")
+    config = config_by_name(PROFILE_CONFIG)
+    collector = SlackCollector(program, config_name=config.name,
+                               input_name="train")
+    OoOCore(config, RUNNER.trace("crc32", "train").packed(),
+            collector=collector, warm_caches=True).run()
+    assert pickle.dumps(collector.profile()) == pickle.dumps(native)
+    assert ckern.counters["profiles_built_native"] == \
+        before["profiles_built_native"]
 
 
 @needs_kernel
-def test_plan_kernel_counters_advance():
+def test_plan_kernel_counters_advance(monkeypatch):
     """collect_ckern's plan-side counters move when the kernels run."""
     before = dict(ckern.counters)
-    candidates, profile, sites = _scoring_fixture("crc32")
-    SlackProfileSelector().build_pool(sites, profile, candidates)
+    _profile_pair("crc32", monkeypatch)
     assert ckern.counters["profiles_built_native"] > \
         before.get("profiles_built_native", 0)
-    assert ckern.counters["candidates_enumerated_native"] > \
-        before.get("candidates_enumerated_native", 0)
-    assert ckern.counters["scoring_calls"] > \
-        before.get("scoring_calls", 0)
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The selectors: pool semantics, aggressiveness, hyperparameter protocol."""
 
+import functools
+
 import pytest
 
 from repro.minigraph import (
@@ -13,8 +15,14 @@ from repro.minigraph.selectors import (
 from repro.minigraph.slack import SlackCollector
 from repro.minigraph.templates import build_templates
 from repro.minigraph import enumerate_candidates
+from repro.harness.runner import Runner
 from repro.pipeline import reduced_config
+from repro.pipeline.config import config_by_name
 from repro.pipeline.core import OoOCore
+from repro.workloads import benchmark
+
+#: Memoizing runner for the golden-workload traces.
+_RUNNER = Runner()
 
 
 def _sites(program, trace):
@@ -234,3 +242,84 @@ def test_read_port_max_weight_drops_over_budget_sites(branchy_loop,
     sel = ReadPortAwareSelector(port_budget=0, pressure_weight=3.0)
     for site in sel.build_pool(sites, None):
         assert len(site.candidate.ext_inputs) == 0
+
+
+# -- pinned pools over the golden workloads -----------------------------------
+
+#: Recorded pool site ids per (golden workload, selector): the
+#: Slack-Profile delay-model variants and the read-port budgets must keep
+#: admitting exactly these sites.
+PINNED_SELECTORS = {
+    "slack-profile-full": lambda: SlackProfileSelector("full"),
+    "slack-profile-delay": lambda: SlackProfileSelector("delay"),
+    "slack-profile-sial": lambda: SlackProfileSelector("sial"),
+    "slack-profile-full-measured":
+        lambda: SlackProfileSelector("full", measured_latencies=True),
+    "read-port-0-1.0": lambda: ReadPortAwareSelector(0, 1.0),
+    "read-port-2-0.5": lambda: ReadPortAwareSelector(2, 0.5),
+}
+
+PINNED_POOLS = {
+    "crc32": {
+        "slack-profile-full": [3, 4, 5, 6, 7, 8, 12],
+        "slack-profile-delay": [3, 4, 5, 6, 7, 8, 12],
+        "slack-profile-sial": [3, 4, 5, 6, 7, 8, 9, 10, 12],
+        "slack-profile-full-measured": [3, 4, 5, 6, 7, 8, 12],
+        "read-port-0-1.0": [3, 8, 12],
+        "read-port-2-0.5": [0, 1, 3, 6, 7, 8, 10, 11, 12],
+    },
+    "adpcm": {
+        "slack-profile-full": [0, 9, 1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 13, 14,
+            16, 17],
+        "slack-profile-delay": [0, 9, 1, 4, 5, 6, 8, 10, 11, 12, 13, 14, 17],
+        "slack-profile-sial": [0, 9, 1, 3, 4, 5, 6, 8, 10, 11, 12, 13, 14, 16,
+            17],
+        "slack-profile-full-measured": [0, 9, 1, 2, 3, 4, 5, 6, 8, 10, 11, 12,
+            13, 14, 16, 17],
+        "read-port-0-1.0": [0, 9, 6, 14, 17],
+        "read-port-2-0.5": [0, 9, 1, 6, 12, 13, 14, 17],
+    },
+    "fft": {
+        "slack-profile-full": [0, 4, 3, 8, 11, 10, 13, 14, 15],
+        "slack-profile-delay": [0, 4, 3, 8, 11, 10, 13, 15],
+        "slack-profile-sial": [0, 4, 3, 5, 6, 8, 11, 9, 12, 10, 13, 14, 15],
+        "slack-profile-full-measured": [0, 4, 3, 8, 11, 10, 13, 14, 15],
+        "read-port-0-1.0": [0, 4, 15],
+        "read-port-2-0.5": [0, 4, 1, 3, 5, 7, 15],
+    },
+    "gzip": {
+        "slack-profile-full": [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17],
+        "slack-profile-delay": [5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17],
+        "slack-profile-sial": [5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17],
+        "slack-profile-full-measured": [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+            16, 17],
+        "read-port-0-1.0": [5, 6, 8, 11, 12, 15, 16, 17],
+        "read-port-2-0.5": [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15, 16,
+            17],
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_sites_and_profile(name):
+    """Template sites and reduced-machine slack profile of ``name``."""
+    program = benchmark(name).program("train")
+    trace = _RUNNER.trace(name, "train")
+    config = config_by_name("reduced")
+    collector = SlackCollector(program, config_name=config.name,
+                               input_name="train")
+    OoOCore(config, trace.packed(), collector=collector,
+            warm_caches=True).run()
+    templates = build_templates(enumerate_candidates(program),
+                                trace.dynamic_count_of())
+    sites = [site for template in templates for site in template.sites]
+    return sites, collector.profile()
+
+
+@pytest.mark.parametrize("selector_key", sorted(PINNED_SELECTORS))
+@pytest.mark.parametrize("name", sorted(PINNED_POOLS))
+def test_pinned_pool_site_ids(name, selector_key):
+    """Slack-Profile variants and read-port pools match the record."""
+    sites, profile = _golden_sites_and_profile(name)
+    pool = PINNED_SELECTORS[selector_key]().build_pool(sites, profile)
+    assert [site.id for site in pool] == PINNED_POOLS[name][selector_key]
