@@ -310,9 +310,7 @@ def _cmd_bench(args) -> int:
         QUICK_SELECTORS, check_against, load_report, run_bench, write_report,
     )
     if args.plan:
-        from .harness.bench import (
-            check_plan_report, run_plan_bench, write_plan_report,
-        )
+        from .harness.bench import check_plan_report, run_plan_bench
         benchmarks = list(args.benchmarks or
                           (QUICK_BENCHMARKS if args.quick
                            else DEFAULT_BENCHMARKS))
@@ -321,7 +319,7 @@ def _cmd_bench(args) -> int:
             benchmarks, label=label, repeat=max(3, args.repeat),
             log=lambda line: print(line, file=sys.stderr))
         print(report.render())
-        path = write_plan_report(report, args.out)
+        path = write_report(report, args.out)
         print(f"wrote {path}")
         failures = check_plan_report(report,
                                      min_speedup=args.min_speedup)
@@ -331,9 +329,7 @@ def _cmd_bench(args) -> int:
             return 1
         return 0
     if args.batch:
-        from .harness.bench import (
-            check_batch_report, run_batch_bench, write_batch_report,
-        )
+        from .harness.bench import check_batch_report, run_batch_bench
         benchmarks = list(args.benchmarks or
                           (QUICK_BENCHMARKS if args.quick
                            else DEFAULT_BENCHMARKS))
@@ -342,7 +338,7 @@ def _cmd_bench(args) -> int:
             benchmarks, threads=args.batch_threads, label=label,
             log=lambda line: print(line, file=sys.stderr))
         print(report.render())
-        path = write_batch_report(report, args.out)
+        path = write_report(report, args.out)
         print(f"wrote {path}")
         failures = check_batch_report(report,
                                       min_speedup=args.min_speedup)
@@ -618,6 +614,7 @@ def _cmd_serve(args) -> int:
     import asyncio
     from pathlib import Path
 
+    from .exec.journal import JournalError
     from .serve.server import ServerConfig, serve_forever
     config = ServerConfig(
         state_dir=Path(args.state_dir),
@@ -630,7 +627,11 @@ def _cmd_serve(args) -> int:
         max_results=args.max_results, result_ttl=args.result_ttl,
         max_job_events=args.max_job_events, dispatch=args.dispatch,
         batch_threads=args.batch_threads)
-    return asyncio.run(serve_forever(config))
+    try:
+        return asyncio.run(serve_forever(config))
+    except JournalError as error:    # e.g. a journal from another format
+        print(f"repro: serve: {error}", file=sys.stderr)
+        return 2
 
 
 def _serve_address(args) -> str:

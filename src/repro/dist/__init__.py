@@ -8,8 +8,9 @@ and one uninterrupted run:
   matched) instead of O(directory walk) at millions of artifacts. The
   blob layout is byte-identical to the default directory backend; the
   manifest is an index, not a format change.
-- :mod:`repro.dist.ledger` — a JSONL :class:`~repro.dist.ledger.RunLedger`
-  journaling DAG node completion so a killed ``experiments``/
+- :mod:`repro.dist.ledger` — a :class:`~repro.dist.ledger.RunLedger`
+  (a :class:`~repro.exec.journal.Journal` of kind ``run``) journaling
+  DAG node completion so a killed ``experiments``/
   ``limit-study`` run resumes with ``repro resume``, scheduling only
   nodes whose durable outputs are missing.
 - :mod:`repro.dist.dispatch` / :mod:`repro.dist.remote` /

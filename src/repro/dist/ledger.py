@@ -10,10 +10,9 @@ then one line per node completion as the scheduler reports it, then a
 completion marker. ``repro resume <ledger>`` replays the file and
 schedules only what is still missing.
 
-Like the serve journal, the format is append-only, flushed per line,
-and replay-tolerant: a torn tail line (the write the SIGKILL
-interrupted) is ignored, and repeated records for the same node are
-idempotent (last status wins).
+The file is a :class:`~repro.exec.journal.Journal` of kind ``run``
+(format, torn-line handling and durability are described there);
+repeated records for the same node are idempotent (last status wins).
 
 The durability invariant (SNIPPETS.md, hypergraph): *if a step can be
 skipped on resume, the step must have durable outputs.* The ledger's
@@ -26,12 +25,12 @@ journal says.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import uuid
-from pathlib import Path
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+
+from repro.exec.journal import Journal, JournalError, replay
 
 LEDGER_VERSION = 1
 
@@ -39,20 +38,14 @@ LEDGER_VERSION = 1
 #: progress noise; only terminal-per-attempt outcomes matter to resume.
 _TERMINAL = ("done", "failed", "skipped")
 
+#: Unusable ledger: missing header, version skew, or an attempt to skip
+#: a node with no durable outputs.
+LedgerError = JournalError
 
-class LedgerError(RuntimeError):
-    """Unusable ledger: missing header, version skew, or an attempt to
-    skip a node with no durable outputs."""
 
-
-class RunLedger:
-    """Append-only journal for one scheduler run."""
-
-    def __init__(self, path: os.PathLike, header: Dict[str, Any],
-                 handle: IO[str]):
-        self.path = Path(path)
-        self.header = header
-        self._handle = handle
+class RunLedger(Journal):
+    """Append-only journal for one scheduler run. ``append_to`` (the
+    resume path) reopens an existing ledger for appending."""
 
     # -- creation / replay ----------------------------------------------------
 
@@ -78,94 +71,44 @@ class RunLedger:
         }
         if extra:
             header.update(extra)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "w", encoding="utf-8")
-        ledger = cls(path, header, handle)
-        ledger._append(header)
-        return ledger
+        return cls.start(path, header)
 
     @classmethod
     def load(cls, path: os.PathLike) -> Tuple[Dict[str, Any],
                                               Dict[str, str], bool]:
         """Replay a ledger: ``(header, node_status, completed)``.
 
-        ``node_status`` maps task id → last journaled status. Torn or
-        garbled lines (the interrupted final write of a killed run) are
-        skipped; a missing or alien header is an error.
+        ``node_status`` maps task id → last journaled status.
         """
-        header: Optional[Dict[str, Any]] = None
+        header, records = replay(path, "run", LEDGER_VERSION)
         status: Dict[str, str] = {}
         completed = False
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as error:
-            raise LedgerError(f"cannot read ledger {path}: {error}") from error
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from the killed writer
-            if not isinstance(record, dict):
-                continue
+        for record in records:
             rtype = record.get("type")
-            if rtype == "run":
-                if record.get("version") != LEDGER_VERSION:
-                    raise LedgerError(
-                        f"ledger version {record.get('version')!r} != "
-                        f"{LEDGER_VERSION} (regenerate with a fresh run)")
-                header = record
-            elif rtype == "node" and record.get("task"):
+            if rtype == "node" and record.get("task"):
                 if record.get("status") in _TERMINAL:
                     status[record["task"]] = record["status"]
             elif rtype == "complete":
                 completed = True
-        if header is None:
-            raise LedgerError(f"{path} has no run header — not a ledger")
         return header, status, completed
-
-    @classmethod
-    def append_to(cls, path: os.PathLike,
-                  header: Dict[str, Any]) -> "RunLedger":
-        """Reopen an existing ledger for appending (the resume path)."""
-        handle = open(path, "a", encoding="utf-8")
-        return cls(path, header, handle)
 
     # -- journaling -----------------------------------------------------------
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-
     def record(self, task_id: str, stage: Optional[str],
                status: str) -> None:
-        self._append({"type": "node", "task": task_id, "stage": stage,
-                      "status": status, "t": time.time()})
+        self.append({"type": "node", "task": task_id, "stage": stage,
+                     "status": status, "t": time.time()})
 
     def record_skipped_durable(self, task_ids: Iterable[str]) -> None:
         """Journal nodes resume pruned because their artifacts exist."""
         for task_id in task_ids:
-            self._append({"type": "node", "task": task_id, "stage": None,
-                          "status": "done", "t": time.time(),
-                          "resumed": True})
+            self.append({"type": "node", "task": task_id, "stage": None,
+                         "status": "done", "t": time.time(),
+                         "resumed": True})
 
     def complete(self, results: int, failures: int) -> None:
-        self._append({"type": "complete", "t": time.time(),
-                      "results": results, "failures": failures})
-
-    def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        self.append({"type": "complete", "t": time.time(),
+                     "results": results, "failures": failures})
 
     # -- scheduler integration ------------------------------------------------
 

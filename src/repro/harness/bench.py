@@ -248,8 +248,9 @@ def run_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
     return report
 
 
-def write_report(report: BenchReport, out_dir: Path = Path(".")) -> Path:
-    """Write ``BENCH_<label>.json`` and return its path."""
+def write_report(report, out_dir: Path = Path(".")) -> Path:
+    """Write any bench report (timing, batch or plan) as
+    ``BENCH_<label>.json`` and return its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"BENCH_{report.label}.json"
@@ -426,18 +427,6 @@ def run_batch_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
                     f"batched vs {entry.perpoint_kips:.1f} per-point "
                     f"({entry.speedup:.1f}x, {len(specs)} points)")
     return report
-
-
-def write_batch_report(report: BatchBenchReport,
-                       out_dir: Path = Path(".")) -> Path:
-    """Write ``BENCH_<label>.json`` for a batch report."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{report.label}.json"
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def load_batch_report(path) -> BatchBenchReport:
@@ -696,18 +685,6 @@ def run_plan_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
                     f"{n_words} tap words)")
     report.finalize()
     return report
-
-
-def write_plan_report(report: PlanBenchReport,
-                      out_dir: Path = Path(".")) -> Path:
-    """Write ``BENCH_<label>.json`` for a plan report."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{report.label}.json"
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def load_plan_report(path) -> PlanBenchReport:

@@ -12,26 +12,31 @@ while ``max_running`` never rejects — a client over its running quota
 simply stays queued and other clients' jobs dispatch around it.
 
 Durability: every submission and every terminal transition appends one
-line to a JSONL journal. On restart the server replays the journal and
-re-enqueues every job without a terminal record — including jobs that
-were *running* when the process died, which is safe because job
-execution is idempotent through the content-addressed artifact store
-(a re-run of a half-finished job skips everything already published).
+line to a :class:`~repro.exec.journal.Journal` of kind ``serve``. On
+restart the server replays the journal and re-enqueues every job
+without a terminal record — including jobs that were *running* when
+the process died, which is safe because job execution is idempotent
+through the content-addressed artifact store (a re-run of a
+half-finished job skips everything already published).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
+
+from ..exec.journal import Journal, compact, replay
 
 #: Priority classes, in dispatch order (lower dispatches first).
 PRIORITIES = {"interactive": 0, "normal": 1, "batch": 2}
 
 _TERMINAL = ("done", "failed", "cancelled")
+
+SERVE_JOURNAL_VERSION = 1
+_HEADER = {"type": "serve", "version": SERVE_JOURNAL_VERSION}
 
 
 class JobState:
@@ -106,9 +111,7 @@ class JobQueue:
         self._order: List[str] = []          # queued ids, submission order
         self._seq = itertools.count(1)
         self._journal_path = Path(journal) if journal else None
-        self._journal_handle = None
-        if self._journal_path is not None:
-            self._journal_path.parent.mkdir(parents=True, exist_ok=True)
+        self._journal_handle: Optional[Journal] = None
 
     # -- introspection ---------------------------------------------------------
 
@@ -136,10 +139,16 @@ class JobQueue:
         if self._journal_path is None:
             return
         if self._journal_handle is None:
-            self._journal_handle = open(self._journal_path, "a")
-        json.dump(record, self._journal_handle, sort_keys=True)
-        self._journal_handle.write("\n")
-        self._journal_handle.flush()
+            self._journal_handle = Journal.append_to(self._journal_path,
+                                                  _HEADER)
+        self._journal_handle.append(record)
+
+    @staticmethod
+    def _submit_record(job: Job) -> Dict[str, Any]:
+        return {"kind": "submit", "job": {
+            "id": job.id, "client": job.client, "kind": job.kind,
+            "spec": job.spec, "priority": job.priority,
+            "submitted": job.submitted}}
 
     def close(self) -> None:
         if self._journal_handle is not None:
@@ -156,24 +165,18 @@ class JobQueue:
         """
         if self._journal_path is None or not self._journal_path.exists():
             return []
+        _header, records = replay(self._journal_path, "serve",
+                                  SERVE_JOURNAL_VERSION)
         submitted: Dict[str, Dict[str, Any]] = {}
         terminal: Dict[str, str] = {}
-        with open(self._journal_path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue    # torn tail line from a crash
-                if record.get("kind") == "submit":
-                    job = record.get("job", {})
-                    if isinstance(job.get("id"), str):
-                        submitted[job["id"]] = job
-                elif record.get("kind") == "state":
-                    if record.get("state") in _TERMINAL:
-                        terminal[record.get("id")] = record["state"]
+        for record in records:
+            if record.get("kind") == "submit":
+                job = record.get("job")
+                if isinstance(job, dict) and isinstance(job.get("id"), str):
+                    submitted[job["id"]] = job
+            elif record.get("kind") == "state":
+                if record.get("state") in _TERMINAL:
+                    terminal[record.get("id")] = record["state"]
         recovered: List[Job] = []
         top = 0
         for job_id, payload in submitted.items():
@@ -195,15 +198,8 @@ class JobQueue:
         self._seq = itertools.count(top + 1)
         # Compact: rewrite the journal as just the live submissions.
         self.close()
-        tmp = self._journal_path.with_suffix(".compact")
-        with open(tmp, "w") as handle:
-            for job in recovered:
-                json.dump({"kind": "submit", "job": {
-                    "id": job.id, "client": job.client, "kind": job.kind,
-                    "spec": job.spec, "priority": job.priority,
-                    "submitted": job.submitted}}, handle, sort_keys=True)
-                handle.write("\n")
-        tmp.replace(self._journal_path)
+        compact(self._journal_path, _HEADER,
+                [self._submit_record(job) for job in recovered])
         return recovered
 
     # -- admission / dispatch --------------------------------------------------
@@ -222,10 +218,7 @@ class JobQueue:
                   priority=PRIORITIES[priority])
         self.jobs[job.id] = job
         self._order.append(job.id)
-        self._journal({"kind": "submit", "job": {
-            "id": job.id, "client": job.client, "kind": job.kind,
-            "spec": job.spec, "priority": job.priority,
-            "submitted": job.submitted}})
+        self._journal(self._submit_record(job))
         return job
 
     def next_ready(self) -> Optional[Job]:

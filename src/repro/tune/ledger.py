@@ -9,39 +9,34 @@ trials with no journaled result at their trace length — a SIGKILL
 mid-search costs at most the one in-flight trial, and re-running a
 finished search schedules nothing.
 
-Replay is defensive: a torn tail line (the interrupted final write) is
-ignored, duplicate records are idempotent (last wins), and a header
-whose space digest or salt disagrees with the current invocation is
-refused — results computed by different code or for a different space
-must never silently leak into a frontier.
+The file is a :class:`~repro.exec.journal.Journal` of kind ``tune``
+(format, torn-line handling and durability are described there).
+Duplicate records are idempotent (last wins), and a header whose space
+digest or salt disagrees with the current invocation is refused —
+results computed by different code or for a different space must never
+silently leak into a frontier.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, IO, Optional, Tuple
+from typing import Any, Dict, Tuple
+
+from repro.exec.journal import Journal, JournalError, replay
 
 from .evaluate import TrialEval
 
 TUNE_LEDGER_VERSION = 1
 
+#: Unusable tuning ledger: bad header, version skew, or a space/salt
+#: mismatch against the resuming invocation.
+TuneLedgerError = JournalError
 
-class TuneLedgerError(RuntimeError):
-    """Unusable tuning ledger: bad header, version skew, or a
-    space/salt mismatch against the resuming invocation."""
 
-
-class TuneLedger:
+class TuneLedger(Journal):
     """Append-only journal of trial evaluations for one search."""
-
-    def __init__(self, path: os.PathLike, header: Dict[str, Any],
-                 handle: IO[str]):
-        self.path = Path(path)
-        self.header = header
-        self._handle = handle
 
     @staticmethod
     def _header(space_digest: str, salt: str,
@@ -54,12 +49,7 @@ class TuneLedger:
     def create(cls, path: os.PathLike, space_digest: str, salt: str,
                runner: Dict[str, Any]) -> "TuneLedger":
         """Start a fresh ledger (truncating any previous file)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "w", encoding="utf-8")
-        ledger = cls(path, cls._header(space_digest, salt, runner), handle)
-        ledger._append(ledger.header)
-        return ledger
+        return cls.start(path, cls._header(space_digest, salt, runner))
 
     @classmethod
     def resume(cls, path: os.PathLike, space_digest: str, salt: str,
@@ -73,37 +63,7 @@ class TuneLedger:
         different space, salt, or runner parameter set — those results
         are not comparable and must not be reused.
         """
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as error:
-            raise TuneLedgerError(
-                f"cannot read tuning ledger {path}: {error}") from error
-        header: Optional[Dict[str, Any]] = None
-        completed: Dict[Tuple[str, int], TrialEval] = {}
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue        # torn tail from a killed writer
-            if not isinstance(record, dict):
-                continue
-            if record.get("type") == "tune":
-                if record.get("version") != TUNE_LEDGER_VERSION:
-                    raise TuneLedgerError(
-                        f"tuning ledger version {record.get('version')!r} "
-                        f"!= {TUNE_LEDGER_VERSION} (start a fresh ledger)")
-                header = record
-            elif record.get("type") == "trial":
-                try:
-                    entry = TrialEval.from_doc(record)
-                except (KeyError, TypeError, ValueError):
-                    continue    # torn or foreign record
-                completed[(entry.trial_id, entry.rung)] = entry
-        if header is None:
-            raise TuneLedgerError(
-                f"{path} has no tune header — not a tuning ledger")
+        header, records = replay(path, "tune", TUNE_LEDGER_VERSION)
         for field, ours in (("space", space_digest), ("salt", salt),
                             ("runner", dict(runner))):
             if header.get(field) != ours:
@@ -111,8 +71,16 @@ class TuneLedger:
                     f"tuning ledger {path} was written for a different "
                     f"{field} ({header.get(field)!r} != {ours!r}); "
                     "start a fresh ledger")
-        handle = open(path, "a", encoding="utf-8")
-        return cls(path, header, handle), completed
+        completed: Dict[Tuple[str, int], TrialEval] = {}
+        for record in records:
+            if record.get("type") != "trial":
+                continue
+            try:
+                entry = TrialEval.from_doc(record)
+            except (KeyError, TypeError, ValueError):
+                continue        # foreign record
+            completed[(entry.trial_id, entry.rung)] = entry
+        return cls.append_to(path, header), completed
 
     @classmethod
     def open(cls, path: os.PathLike, space_digest: str, salt: str,
@@ -126,22 +94,6 @@ class TuneLedger:
 
     # -- journaling -----------------------------------------------------------
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-
     def record(self, entry: TrialEval) -> None:
         """Journal one completed trial evaluation."""
-        self._append({"type": "trial", "t": time.time(), **entry.to_doc()})
-
-    def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "TuneLedger":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        self.append({"type": "trial", "t": time.time(), **entry.to_doc()})

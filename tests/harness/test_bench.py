@@ -155,7 +155,7 @@ def test_bench_with_telemetry_spans_points(runner_module, tmp_path):
 def test_plan_bench_report_round_trip(tmp_path):
     from repro.harness.bench import (
         PLAN_SCHEMA_VERSION, check_plan_report, load_plan_report,
-        run_plan_bench, write_plan_report,
+        run_plan_bench, write_report,
     )
     from repro.pipeline import ckern
 
@@ -165,7 +165,7 @@ def test_plan_bench_report_round_trip(tmp_path):
     assert plan.schema == PLAN_SCHEMA_VERSION == 2
     assert [p.bench for p in plan.points] == ["crc32"]
     assert check_plan_report(plan) == []
-    path = write_plan_report(plan, tmp_path)
+    path = write_report(plan, tmp_path)
     assert load_plan_report(path) == plan
     stale = json.loads(path.read_text())
     stale["schema"] = 1

@@ -159,7 +159,8 @@ class TestJournalRecovery:
         queue.close()
         fresh = JobQueue(journal=journal)
         assert fresh.recover() == []
-        assert journal.read_text() == ""    # nothing live to keep
+        # Nothing live to keep: the header line only.
+        assert journal.read_text() == '{"type": "serve", "version": 1}\n'
 
     def test_torn_tail_line_is_ignored(self, tmp_path):
         journal = tmp_path / "jobs.jsonl"
