@@ -536,41 +536,18 @@ def _cmd_cache(args) -> int:
         print("no cache directory: pass --cache-dir or set "
               "$REPRO_CACHE_DIR", file=sys.stderr)
         return 1
-    if args.action == "migrate":
-        from .dist.sqlite_store import SqliteManifestBackend
-        backend = SqliteManifestBackend(cache_dir)
-        count = backend.reindex(force=True)
-        backend.close()
-        print(f"indexed {count} artifacts into "
-              f"{cache_dir}/manifest.sqlite")
-        return 0
-    store = ArtifactStore(cache_dir, backend=args.backend)
+    store = ArtifactStore(cache_dir)
     if args.action == "stats":
         summary = store.disk_summary()
         total_count = sum(e["count"] for e in summary.values())
         total_bytes = sum(e["bytes"] for e in summary.values())
-        print(f"artifact store at {store.root} "
-              f"({store.backend_name} backend)")
+        print(f"artifact store at {store.root}")
         print(f"{'kind':<12s} {'count':>7s} {'bytes':>12s}")
         for kind in sorted(summary):
             entry = summary[kind]
             print(f"{kind:<12s} {entry['count']:>7d} {entry['bytes']:>12d}")
         print(f"{'total':<12s} {total_count:>7d} {total_bytes:>12d}")
         print(f"code-version salt: {store.salt}")
-        if args.compare or args.bench_out:
-            from .dist.sqlite_store import compare_backends
-            timing = compare_backends(store.root)
-            print(f"stats timing: dir {timing['dir_stats_s'] * 1e3:.2f}ms "
-                  f"sqlite {timing['sqlite_stats_s'] * 1e3:.2f}ms "
-                  f"({timing['speedup']:.1f}x, "
-                  f"{timing['artifacts']} artifacts)")
-            if args.bench_out:
-                import json as _json
-                from pathlib import Path
-                doc = {k: v for k, v in timing.items() if k != "summary"}
-                Path(args.bench_out).write_text(
-                    _json.dumps(doc, indent=2, sort_keys=True) + "\n")
-                print(f"wrote {args.bench_out}")
     elif args.action == "clear":
         print(f"removed {store.clear()} artifacts from {store.root}")
     elif args.action == "dedup":
@@ -944,25 +921,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_cache = sub.add_parser("cache",
                              help="artifact store maintenance")
     p_cache.add_argument("action", choices=["stats", "clear", "prune",
-                                            "migrate", "dedup"])
+                                            "dedup"])
     p_cache.add_argument("--cache-dir", default=None,
                          help="store directory (default: $REPRO_CACHE_DIR)")
-    p_cache.add_argument("--backend", default=None,
-                         choices=["dir", "sqlite"],
-                         help="store index backend (default: "
-                              "$REPRO_STORE_BACKEND, else dir)")
     p_cache.add_argument("--max-age-days", type=float, default=None,
                          help="prune: drop artifacts older than this")
     p_cache.add_argument("--kinds", nargs="*", default=None,
                          help="prune: restrict to artifact kinds "
                               "(trace profile candidates plan baseline "
                               "run run-dynamic subset)")
-    p_cache.add_argument("--compare", action="store_true",
-                         help="stats: time the dir walk against the "
-                              "sqlite manifest on this store")
-    p_cache.add_argument("--bench-out", default=None, metavar="PATH",
-                         help="stats: write the backend timing comparison "
-                              "JSON here (implies --compare)")
     p_cache.set_defaults(fn=_cmd_cache)
 
     p_serve = sub.add_parser(

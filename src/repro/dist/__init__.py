@@ -1,13 +1,9 @@
 """Durable, distributed execution.
 
-Three pluggable layers that scale the execution engine past one process
-and one uninterrupted run:
+Two layers that scale the execution engine past one process and one
+uninterrupted run, both over the one artifact store of
+:mod:`repro.exec.store`:
 
-- :mod:`repro.dist.sqlite_store` — a SQLite *manifest* over the
-  content-addressed blob store, making maintenance queries O(rows
-  matched) instead of O(directory walk) at millions of artifacts. The
-  blob layout is byte-identical to the default directory backend; the
-  manifest is an index, not a format change.
 - :mod:`repro.dist.ledger` — a :class:`~repro.dist.ledger.RunLedger`
   (a :class:`~repro.exec.journal.Journal` of kind ``run``) journaling
   DAG node completion so a killed ``experiments``/

@@ -55,7 +55,6 @@ class RunLedger(Journal):
                runner_params: Dict[str, Any],
                salt: str,
                cache_dir: Optional[str],
-               store_backend: str = "dir",
                extra: Optional[Dict[str, Any]] = None) -> "RunLedger":
         """Start a fresh ledger (truncating any previous file at ``path``)."""
         header = {
@@ -65,7 +64,6 @@ class RunLedger(Journal):
             "created": time.time(),
             "salt": salt,
             "cache_dir": cache_dir,
-            "store_backend": store_backend,
             "runner": dict(runner_params),
             "workload": workload,
         }

@@ -1,7 +1,7 @@
 """``repro resume`` — restart a killed run from its ledger.
 
 The ledger header holds everything needed to rebuild the dead run's
-task graph: runner parameters, store root and backend, code-version
+task graph: runner parameters, store root, code-version
 salt, and the serialized workload. Resume rebuilds the graph, then lets
 the **store** decide what is left to do: every node whose durable output
 probes present is pruned (the same ``prune_cached`` pass the serve warm
@@ -53,8 +53,7 @@ def open_ledger(path, runner, workload: Dict[str, Any],
         path, workload=workload, runner_params=runner_params(runner),
         salt=runner.store.salt,
         cache_dir=str(runner.store.root) if runner.store.persistent
-        else None,
-        store_backend=runner.store.backend_name, extra=extra)
+        else None, extra=extra)
 
 
 def resume_run(path, jobs: Optional[int] = None,

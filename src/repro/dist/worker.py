@@ -47,32 +47,23 @@ def resolve_task_fn(name: str):
     return obj
 
 
-def _rewrite_store(args: Tuple, store_dir: Optional[str],
-                   store_backend: Optional[str]) -> Tuple:
+def _rewrite_store(args: Tuple, store_dir: Optional[str]) -> Tuple:
     """Point task specs at this host's view of the shared store."""
-    if store_dir is None and store_backend is None:
+    if store_dir is None:
         return args
-    out = []
-    for arg in args:
-        if isinstance(arg, dict):
-            arg = dict(arg)
-            if store_dir is not None and "cache_dir" in arg:
-                arg["cache_dir"] = store_dir
-            if store_backend is not None and "store_backend" in arg:
-                arg["store_backend"] = store_backend
-        out.append(arg)
-    return tuple(out)
+    return tuple(dict(arg, cache_dir=store_dir)
+                 if isinstance(arg, dict) and "cache_dir" in arg else arg
+                 for arg in args)
 
 
 class Worker:
     """One coordinator connection plus its executor threads."""
 
     def __init__(self, connect: str, store_dir: Optional[str] = None,
-                 store_backend: Optional[str] = None, slots: int = 1,
-                 name: Optional[str] = None, quiet: bool = False):
+                 slots: int = 1, name: Optional[str] = None,
+                 quiet: bool = False):
         self.connect = connect
         self.store_dir = store_dir
-        self.store_backend = store_backend
         self.slots = max(1, int(slots))
         self.name = name or f"{socket.gethostname()}.{threading.get_ident()}"
         self.quiet = quiet
@@ -97,7 +88,7 @@ class Worker:
                       {"op": "started", "task": task_id})
             fn = resolve_task_fn(task["fn"])
             args = _rewrite_store(decode_args(task["args_b64"]),
-                                  self.store_dir, self.store_backend)
+                                  self.store_dir)
             start = time.perf_counter()
             result = fn(*args)
             duration = time.perf_counter() - start
@@ -234,9 +225,6 @@ def main(argv=None) -> int:
     parser.add_argument("--store", default=None,
                         help="artifact store root on this host "
                              "(overrides the root baked into task specs)")
-    parser.add_argument("--store-backend", default=None,
-                        choices=("dir", "sqlite"),
-                        help="store backend override for this host")
     parser.add_argument("--slots", type=int, default=1,
                         help="concurrent executor threads (default 1; "
                              "run one worker process per core instead "
@@ -251,8 +239,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    worker = Worker(args.connect, store_dir=args.store,
-                    store_backend=args.store_backend, slots=args.slots,
+    worker = Worker(args.connect, store_dir=args.store, slots=args.slots,
                     name=args.name, quiet=args.quiet)
     try:
         worker.run(once=args.once, dial_timeout=args.dial_timeout)

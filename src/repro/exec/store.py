@@ -13,24 +13,26 @@ The store is two-layered. An in-memory dict gives object *identity*
 within a process (``runner.trace(b) is runner.trace(b)``), preserving the
 old ``Runner`` memoization contract; an optional on-disk layer persists
 artifacts across processes and interpreter restarts and is what lets
-scheduler worker processes share upstream work. Disk writes are atomic
-(temp file + ``os.replace``) so a crashed or killed worker can never
-publish a torn artifact, and unreadable payloads are treated as misses
-and deleted rather than propagated.
+scheduler worker processes share upstream work. Unreadable payloads are
+treated as misses and deleted rather than propagated.
 
-The disk layer is pluggable behind :class:`ArtifactBackend`. All
-backends share one byte-identical blob layout::
+The disk layer is :class:`ArtifactBackend`, the one owner of the blob
+layout::
 
     <root>/ab/<sha256>.pkl    # pickled payload  (sharded by 2-hex prefix)
     <root>/ab/<sha256>.json   # sidecar: kind, params, created, size, sha
 
-What differs is the *index*: :class:`DirBackend` (the default and the
-historical behavior) answers ``stats``/``prune``/``dedup`` by walking the
-sidecars, while :class:`repro.dist.sqlite_store.SqliteManifestBackend`
-keeps a SQLite manifest alongside the blobs so those queries stay O(rows
-matched) at millions of artifacts. Because every backend writes the same
-blobs *and* sidecars, a store directory can be opened with either backend
-at any time; the manifest is an index, not a format change.
+The payload is the commit point: it is published first, and a key whose
+``.pkl`` exists is an artifact, with or without its sidecar. The
+sidecars are the index that ``stats``/``prune``/``dedup`` read.
+
+Durability: each file is published by writing a temp file in its shard
+and ``os.replace``-ing it into place, with no ``fsync``. A published
+blob survives the death of the process (SIGKILL, an OOM kill), and a
+killed writer never leaves a torn artifact, only a stray ``.tmp-*``
+file that ``clear`` sweeps. The guarantee stops short of power loss or
+a kernel crash: a blob published just before one may afterwards be
+missing, empty or torn, and then reads as a miss.
 """
 
 from __future__ import annotations
@@ -154,11 +156,6 @@ def resolve_cache_dir(arg: Optional[str],
     return arg or os.environ.get("REPRO_CACHE_DIR") or None
 
 
-def resolve_store_backend(arg: Optional[str] = None) -> str:
-    """CLI policy for the disk backend: flag > ``$REPRO_STORE_BACKEND`` > dir."""
-    return arg or os.environ.get("REPRO_STORE_BACKEND") or "dir"
-
-
 def _atomic_write(path: Path, data: bytes) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                     prefix=".tmp-", suffix=".part")
@@ -174,39 +171,19 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def iter_sidecars(root: Path) -> Iterable[Tuple[str, Dict[str, Any]]]:
-    """Walk the shared blob layout's JSON sidecars: ``(key, meta)`` pairs.
-
-    Unreadable sidecars yield an empty meta rather than raising, so one
-    torn write can never poison a maintenance sweep.
-    """
-    for sidecar in sorted(root.glob("??/*.json")):
-        try:
-            meta = json.loads(sidecar.read_text())
-        except (OSError, ValueError):
-            meta = {}
-        yield sidecar.stem, meta
-
-
 class ArtifactBackend:
-    """Disk layer of an :class:`ArtifactStore`.
+    """Disk layer of an :class:`ArtifactStore`: the blob layout.
 
-    A backend moves payload bytes and answers index queries; keys,
+    Moves payload bytes and answers the maintenance queries; keys,
     pickling, the memory layer, and corruption policy all stay in the
-    store. The blob layout (sharded ``.pkl`` + ``.json`` sidecar pairs,
-    atomic writes) is implemented here once and shared by every backend
-    so that payload bytes are identical no matter which index fronts
-    them; subclasses provide :meth:`entries` and may override the
-    maintenance queries with something faster than a directory walk.
+    store.
     """
-
-    name = "?"
 
     def __init__(self, root: Union[str, os.PathLike]):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
 
-    # -- blob layout (identical across backends) ------------------------------
+    # -- blob layout ----------------------------------------------------------
 
     def payload_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -236,14 +213,29 @@ class ArtifactBackend:
             except OSError:
                 pass
 
-    def touch(self, key: str) -> None:
-        """Record an access (for LRU-style pruning). No-op by default."""
-
-    # -- index ----------------------------------------------------------------
+    # -- maintenance ----------------------------------------------------------
 
     def entries(self) -> Iterable[Tuple[str, Dict[str, Any]]]:
-        """Every ``(key, meta)`` in the index, sorted by key."""
-        raise NotImplementedError
+        """Every ``(key, meta)`` on disk, sorted by key.
+
+        Walks the payloads, not the sidecars: the payload is the commit
+        point, so one whose sidecar a kill never wrote is still an
+        artifact that ``stats`` counts and ``prune`` can delete. Its
+        meta then falls back to the payload's mtime and size, as it does
+        for an unreadable sidecar, so one torn write can never poison a
+        maintenance sweep.
+        """
+        for payload in sorted(self.root.glob("??/*.pkl")):
+            key = payload.stem
+            try:
+                meta = json.loads(self.sidecar_path(key).read_text())
+            except (OSError, ValueError):
+                try:
+                    stat = payload.stat()
+                except OSError:
+                    continue  # deleted under the walk
+                meta = {"created": stat.st_mtime, "size": stat.st_size}
+            yield key, meta
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         """Per-kind ``{count, bytes}``."""
@@ -273,18 +265,22 @@ class ArtifactBackend:
         return removed
 
     def clear(self) -> int:
-        """Drop every artifact; returns artifacts removed."""
+        """Drop every artifact; returns artifacts removed.
+
+        Also sweeps what killed writers leave behind: sidecars without a
+        payload, ``.tmp-*`` files of :func:`_atomic_write` and ``.lnk-*``
+        files of :meth:`dedup`.
+        """
         removed = 0
         for key, _meta in list(self.entries()):
             self.delete(key)
             removed += 1
-        # Payloads whose sidecar was already lost.
-        for orphan in list(self.root.glob("??/*.pkl")):
-            try:
-                orphan.unlink()
-            except OSError:
-                continue
-            removed += 1
+        for pattern in ("??/*.json", "??/.tmp-*", "??/.lnk-*"):
+            for leftover in list(self.root.glob(pattern)):
+                try:
+                    leftover.unlink()
+                except OSError:
+                    pass
         return removed
 
     def dedup(self) -> Dict[str, int]:
@@ -299,7 +295,8 @@ class ArtifactBackend:
         for key, meta in self.entries():
             sha = meta.get("sha")
             if not sha:
-                # Pre-manifest sidecars carry no payload digest.
+                # Older sidecars, and payloads without one, carry no
+                # payload digest.
                 try:
                     sha = hashlib.sha256(
                         self.payload_path(key).read_bytes()).hexdigest()
@@ -343,38 +340,6 @@ class ArtifactBackend:
                 report["groups"] += 1
         return report
 
-    def close(self) -> None:
-        """Release backend resources (db handles). No-op by default."""
-
-
-class DirBackend(ArtifactBackend):
-    """The historical flat-directory backend: the sidecars *are* the index.
-
-    Every maintenance query walks ``<root>/??/*.json`` — perfectly fine
-    for thousands of artifacts, O(walk) at millions, which is what the
-    SQLite manifest backend exists to fix.
-    """
-
-    name = "dir"
-
-    def entries(self) -> Iterable[Tuple[str, Dict[str, Any]]]:
-        return iter_sidecars(self.root)
-
-
-def make_backend(spec: Union[str, ArtifactBackend, None],
-                 root: Union[str, os.PathLike]) -> ArtifactBackend:
-    """Resolve a backend spec (name, instance, or ``None``) for ``root``."""
-    if isinstance(spec, ArtifactBackend):
-        return spec
-    name = resolve_store_backend(spec)
-    if name == "dir":
-        return DirBackend(root)
-    if name == "sqlite":
-        from repro.dist.sqlite_store import SqliteManifestBackend
-        return SqliteManifestBackend(root)
-    raise ValueError(f"unknown store backend: {name!r} "
-                     f"(expected 'dir' or 'sqlite')")
-
 
 class ArtifactStore:
     """Two-layer (memory + optional disk) content-addressed cache.
@@ -382,19 +347,13 @@ class ArtifactStore:
     ``root=None`` gives a memory-only store with the exact semantics of
     the old in-``Runner`` memo dicts. With a ``root``, artifacts also
     persist to disk and are shared with any process pointed at the same
-    directory. ``backend`` selects the disk index: ``"dir"`` (default),
-    ``"sqlite"``, or a ready :class:`ArtifactBackend` instance.
+    directory.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None,
-                 salt: Optional[str] = None,
-                 backend: Union[str, ArtifactBackend, None] = None):
-        if isinstance(backend, ArtifactBackend):
-            self.backend: Optional[ArtifactBackend] = backend
-        elif root is not None:
-            self.backend = make_backend(backend, root)
-        else:
-            self.backend = None
+                 salt: Optional[str] = None):
+        self.backend: Optional[ArtifactBackend] = \
+            ArtifactBackend(root) if root is not None else None
         self.root = self.backend.root if self.backend is not None else None
         self.salt = salt if salt is not None else code_version()
         self._memory: Dict[str, Any] = {}
@@ -416,10 +375,6 @@ class ArtifactStore:
     def persistent(self) -> bool:
         return self.backend is not None
 
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name if self.backend is not None else "memory"
-
     # -- keys -----------------------------------------------------------------
 
     def key(self, kind: str, params: Dict[str, Any]) -> str:
@@ -434,9 +389,6 @@ class ArtifactStore:
 
     def _payload_path(self, key: str) -> Path:
         return self.backend.payload_path(key)
-
-    def _sidecar_path(self, key: str) -> Path:
-        return self.backend.sidecar_path(key)
 
     # -- lookup / insert ------------------------------------------------------
 
@@ -472,7 +424,6 @@ class ArtifactStore:
                     self._memory[key] = value
                     self.stats.disk_hits += 1
                     self.stats.record(kind, hit=True)
-                    self.backend.touch(key)
                     return value
         self.stats.misses += 1
         self.stats.record(kind, hit=False)
@@ -539,21 +490,11 @@ class ArtifactStore:
 
     # -- maintenance ----------------------------------------------------------
 
-    def _sidecars(self) -> Iterable[Tuple[str, Dict[str, Any]]]:
-        if self.backend is None:
-            return
-        yield from self.backend.entries()
-
     def disk_summary(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind ``{count, bytes}`` from the backend index."""
+        """Per-kind ``{count, bytes}`` of the disk artifacts."""
         if self.backend is None:
             return {}
         return self.backend.summary()
-
-    def _delete(self, key: str) -> None:
-        if self.backend is not None:
-            self.backend.delete(key)
-        self._memory.pop(key, None)
 
     def clear(self) -> int:
         """Drop every artifact (memory and disk); returns artifacts removed."""

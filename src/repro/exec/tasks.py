@@ -51,15 +51,12 @@ def runner_params(runner) -> Dict[str, Any]:
         "max_insts": runner.max_insts,
         "cache_dir": str(runner.store.root) if runner.store.persistent
         else None,
-        "store_backend": runner.store.backend_name
-        if runner.store.persistent else None,
     }
 
 
 def _params_key(params: Dict[str, Any]) -> Tuple:
     return (params["budget"], params["max_mg_size"], params["warm_caches"],
-            params["max_insts"], params["cache_dir"],
-            params.get("store_backend"))
+            params["max_insts"], params["cache_dir"])
 
 
 @contextmanager
@@ -101,8 +98,7 @@ def _runner(spec: Dict[str, Any]):
         _RUNNERS[key] = Runner(
             budget=spec["budget"], max_mg_size=spec["max_mg_size"],
             warm_caches=spec["warm_caches"], max_insts=spec["max_insts"],
-            store=ArtifactStore(spec["cache_dir"],
-                                backend=spec.get("store_backend")))
+            store=ArtifactStore(spec["cache_dir"]))
     runner = _RUNNERS[key]
     _seed_shared_traces(runner, spec)
     return runner

@@ -405,10 +405,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir/$REPRO_CACHE_DIR; "
                              "memory-only memoization")
-    parser.add_argument("--store-backend", default=None,
-                        choices=["dir", "sqlite"],
-                        help="artifact store index backend (default: "
-                             "$REPRO_STORE_BACKEND, else dir)")
     parser.add_argument("--ledger", default=None, metavar="PATH",
                         help="journal DAG completion to PATH so a killed "
                              "run resumes with `repro resume PATH` "
@@ -458,8 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     benches = _population(args.suites, args.limit,
                           include_synthetic=not args.no_synthetic)
     runner = Runner(budget=args.budget,
-                    store=ArtifactStore(cache_dir,
-                                        backend=args.store_backend),
+                    store=ArtifactStore(cache_dir),
                     jobs=jobs)
     telemetry = None
     if args.telemetry:

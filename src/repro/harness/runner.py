@@ -117,8 +117,7 @@ class Runner:
         workers; both sides share one params vocabulary so a rebuilt
         runner can never key artifacts differently than the original.
         """
-        store = ArtifactStore(params.get("cache_dir"),
-                              backend=params.get("store_backend"))
+        store = ArtifactStore(params.get("cache_dir"))
         return cls(budget=params["budget"],
                    max_mg_size=params["max_mg_size"],
                    warm_caches=params["warm_caches"],

@@ -18,7 +18,7 @@ from repro.dist.dispatch import (
     DispatchStats, LocalPoolBackend, make_dispatch,
 )
 from repro.exec.grid import baseline_point, run_points, selector_point
-from repro.exec.store import ArtifactStore, iter_sidecars
+from repro.exec.store import ArtifactBackend, ArtifactStore
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import StructAll
 
@@ -44,7 +44,7 @@ def _spawn_workers(address, cache, count=2):
 def _ipc_by_artifact(cache):
     """Content-addressed view of a store's timing results."""
     out = {}
-    for key, meta in iter_sidecars(cache):
+    for key, meta in ArtifactBackend(cache).entries():
         if meta.get("kind") in ("baseline", "run"):
             out[key] = meta.get("kind")
     return out
@@ -108,8 +108,8 @@ class TestSocketDispatch:
         # Identical artifact sets under identical content addresses —
         # the keys cover every parameter, so key equality IS result
         # equality; payload bytes are checked on top.
-        serial_keys = dict(iter_sidecars(serial_cache))
-        dist_keys = dict(iter_sidecars(dist_cache))
+        serial_keys = dict(ArtifactBackend(serial_cache).entries())
+        dist_keys = dict(ArtifactBackend(dist_cache).entries())
         assert sorted(serial_keys) == sorted(dist_keys)
         serial_store = ArtifactStore(serial_cache)
         dist_store = ArtifactStore(dist_cache)

@@ -24,7 +24,7 @@ from repro.dist.resume import (
 )
 from repro.exec import tasks as task_fns
 from repro.exec.grid import baseline_point, run_points, selector_point
-from repro.exec.store import ArtifactStore, iter_sidecars
+from repro.exec.store import ArtifactBackend, ArtifactStore
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import StructAll
 
@@ -68,7 +68,7 @@ class TestResume:
         ledger_path = _run_with_ledger(tmp_path)
         cache = tmp_path / "cache"
         # Destroy exactly one durable output (a baseline timing run).
-        victims = [key for key, meta in iter_sidecars(cache)
+        victims = [key for key, meta in ArtifactBackend(cache).entries()
                    if meta.get("kind") == "baseline"]
         store = ArtifactStore(cache)
         store.backend.delete(victims[0])
@@ -83,7 +83,7 @@ class TestResume:
         assert summary["failed"] == 0
         # The deleted artifact is durable again...
         assert any(meta.get("kind") == "baseline" and key == victims[0]
-                   for key, meta in iter_sidecars(cache))
+                   for key, meta in ArtifactBackend(cache).entries())
         # ...and nothing that already existed was rewritten.
         for path, mtime in before.items():
             assert path.stat().st_mtime_ns == mtime, path
@@ -112,6 +112,75 @@ class TestResume:
         ledger.close()
         with pytest.raises(LedgerError, match="not resumable"):
             resume_run(tmp_path / "run.jsonl")
+
+
+class TestParentEraCompatibility:
+    """Ledgers and stores written before the store had one backend."""
+
+    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
+    def test_ledger_with_store_backend_resumes(self, tmp_path, capsys,
+                                                backend):
+        from repro.__main__ import main
+
+        ledger_path = _run_with_ledger(tmp_path)
+        # Older ledgers name the store backend in the header and in the
+        # runner parameters; resume must take them as they are.
+        lines = ledger_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["store_backend"] = backend
+        header["runner"]["store_backend"] = backend
+        lines[0] = json.dumps(header, sort_keys=True)
+        ledger_path.write_text("\n".join(lines) + "\n")
+        total = len(RunLedger.load(ledger_path)[1])
+        before = {path: path.stat().st_mtime_ns
+                  for path in (tmp_path / "cache").glob("??/*.pkl")}
+
+        assert main(["resume", str(ledger_path), "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert f"{total} nodes already durable, 0 scheduled" in out
+        for path, mtime in before.items():
+            assert path.stat().st_mtime_ns == mtime, path
+
+    def test_store_with_leftover_manifest_reads_and_counts(self, tmp_path,
+                                                           capsys):
+        import sqlite3
+
+        from repro.__main__ import main
+
+        root = tmp_path / "cache"
+        store = ArtifactStore(root, salt="t" * 16)
+        for i in range(6):
+            kind = "trace" if i % 2 else "plan"
+            store.put(store.key(kind, {"i": i}), {"value": i}, kind,
+                      {"i": i})
+        sizes = {kind: sum(meta["size"] for _, meta in
+                           ArtifactBackend(root).entries()
+                           if meta["kind"] == kind)
+                 for kind in ("plan", "trace")}
+        # What the SQLite manifest backend left beside the blobs.
+        conn = sqlite3.connect(str(root / "manifest.sqlite"))
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("CREATE TABLE artifacts (key TEXT PRIMARY KEY, "
+                     "kind TEXT, size INTEGER, created REAL)")
+        conn.executemany(
+            "INSERT INTO artifacts VALUES (?, ?, ?, ?)",
+            [(key, meta["kind"], meta["size"], meta["created"])
+             for key, meta in ArtifactBackend(root).entries()])
+        conn.commit()
+        conn.close()
+
+        reader = ArtifactStore(root, salt="t" * 16)
+        for i in range(6):
+            kind = "trace" if i % 2 else "plan"
+            assert reader.get(reader.key(kind, {"i": i}), kind) == \
+                {"value": i}
+        assert reader.stats.disk_hits == 6 and reader.stats.misses == 0
+        assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()]
+        assert ["plan", "3", str(sizes["plan"])] in rows
+        assert ["trace", "3", str(sizes["trace"])] in rows
+        assert ["total", "6", str(sizes["plan"] + sizes["trace"])] in rows
 
 
 class TestLimitStudyResume:

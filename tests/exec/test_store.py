@@ -116,9 +116,110 @@ def test_disk_summary_clear_and_prune(tmp_path):
     assert "plan" not in store.disk_summary()
     # Recent artifacts survive an age-based prune.
     assert store.prune(max_age=3600.0) == 0
-    assert store.clear() == 3
+    # What killed writers leave in a shard: a torn _atomic_write temp
+    # file, a dedup link never renamed into place, and a sidecar whose
+    # payload a kill mid-delete already removed.
+    shard = store.backend.payload_path(store.key("trace", {"i": 0})).parent
+    (shard / ".tmp-x1y2z3.part").write_bytes(b"torn")
+    (shard / f".lnk-{'e' * 64}").write_bytes(b"link")
+    (shard / f"{'f' * 64}.json").write_text("{}")
+    removed = store.clear()
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+    assert removed == 3
     assert store.disk_summary() == {}
     assert store.get(store.key("trace", {"i": 0})) is MISS
+
+
+def test_orphan_payload_is_an_artifact_to_maintenance(tmp_path,
+                                                      monkeypatch):
+    """A kill between the payload and the sidecar publish leaves a
+    payload without a sidecar. The payload is the commit point: reads
+    hit it, so ``stats`` must count it and ``prune`` must reach it."""
+    from repro.exec import store as store_mod
+
+    store = ArtifactStore(tmp_path)
+    key = store.key("trace", {"i": 0})
+    publish = store_mod._atomic_write
+
+    def killed_before_sidecar(path, data):
+        if path.suffix == ".json":
+            raise KeyboardInterrupt("killed between the two publishes")
+        publish(path, data)
+
+    monkeypatch.setattr(store_mod, "_atomic_write", killed_before_sidecar)
+    with pytest.raises(KeyboardInterrupt):
+        store.put(key, list(range(50)), kind="trace")
+    monkeypatch.undo()
+    payload = store.backend.payload_path(key)
+    assert payload.exists()
+    assert not store.backend.sidecar_path(key).exists()
+
+    fresh = ArtifactStore(tmp_path)
+    assert fresh.contains(key)
+    assert fresh.get(key) == list(range(50))
+    assert fresh.disk_summary() == {
+        "?": {"count": 1, "bytes": payload.stat().st_size}}
+    # Kind-filtered prunes cannot know its kind and leave it alone...
+    assert fresh.prune(max_age=0.0, kinds=["trace"]) == 0
+    # ...but its age falls back to the payload's mtime.
+    assert fresh.prune(max_age=3600.0) == 0
+    assert fresh.prune(max_age=0.0) == 1
+    assert not payload.exists()
+    assert not ArtifactStore(tmp_path).contains(key)
+
+
+def test_dedup_hard_links_identical_payloads(tmp_path):
+    store = ArtifactStore(tmp_path)
+    a = store.key("plan", {"config": "a"})
+    b = store.key("plan", {"config": "b"})
+    c = store.key("plan", {"config": "c"})
+    value = {"sites": list(range(100))}
+    store.put(a, value, kind="plan")
+    store.put(b, dict(value), kind="plan")
+    store.put(c, {"sites": []}, kind="plan")
+    path_a, path_b = (store.backend.payload_path(k) for k in (a, b))
+    assert path_a.stat().st_ino != path_b.stat().st_ino
+
+    report = store.dedup()
+    assert report == {"groups": 1, "linked": 1,
+                      "bytes_saved": path_a.stat().st_size}
+    assert path_a.stat().st_ino == path_b.stat().st_ino
+    assert path_a.stat().st_nlink == 2
+    assert store.backend.payload_path(c).stat().st_nlink == 1
+    fresh = ArtifactStore(tmp_path)
+    assert fresh.get(a) == value and fresh.get(b) == value
+    assert fresh.get(c) == {"sites": []}
+    assert fresh.stats.corrupt_dropped == 0
+    assert list(tmp_path.glob("??/.lnk-*")) == []
+    # Already linked: a second pass links nothing.
+    assert store.dedup() == {"groups": 0, "linked": 0, "bytes_saved": 0}
+
+
+def test_put_writes_the_pinned_blob_layout(tmp_path):
+    """Stores are shared across checkouts: a put writes the pickled
+    payload and a sorted-key JSON sidecar, byte for byte."""
+    import hashlib
+    import json
+
+    store = ArtifactStore(tmp_path, salt="s" * 16)
+    params = {"bench": "crc32", "max_insts": 100}
+    key = store.key("trace", params)
+    assert key == hashlib.sha256(
+        b'trace|ssssssssssssssss|{"bench":"crc32","max_insts":100}'
+    ).hexdigest()
+    value = {"records": [1, 2, 3]}
+    store.put(key, value, kind="trace", params=params)
+
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    assert (tmp_path / key[:2] / f"{key}.pkl").read_bytes() == payload
+    sidecar = (tmp_path / key[:2] / f"{key}.json").read_text()
+    created = json.loads(sidecar)["created"]
+    assert sidecar == json.dumps({
+        "kind": "trace", "params": params, "created": created,
+        "size": len(payload), "sha": hashlib.sha256(payload).hexdigest(),
+        "salt": "s" * 16}, sort_keys=True)
+    assert sorted(path.name for path in tmp_path.rglob("*")) == \
+        sorted([key[:2], f"{key}.pkl", f"{key}.json"])
 
 
 def test_put_leaves_no_partial_files(tmp_path):

@@ -103,6 +103,21 @@ def test_unknown_command():
         main(["bogus"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["cache", "migrate", "--cache-dir", "unused"],
+    ["cache", "stats", "--cache-dir", "unused", "--backend", "sqlite"],
+    ["cache", "stats", "--cache-dir", "unused", "--compare"],
+    ["experiments", "fig1", "--store-backend", "dir"],
+    ["worker", "--connect", "unused.sock", "--store-backend", "dir"],
+])
+def test_store_backend_options_are_unknown(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_error_exit_is_one_line_not_traceback(capsys):
     assert main(["run", "nosuchbench"]) == 2
     captured = capsys.readouterr()
