@@ -157,22 +157,16 @@ def _parallel_subset_points(runner: Runner, bench: str, input_name: str,
     """Fan the exhaustive subset sweep out over worker processes.
 
     Each mask evaluation is one task; trace and candidate enumeration
-    are shared through the runner's persistent artifact store. Results
-    are ordered by mask, so the outcome is independent of ``jobs``.
+    are shared through the runner's persistent artifact store. The
+    driver has already put the trace there (site ranking reads it), and
+    each worker process loads it once, then serves every later mask
+    from its memory layer. Results are ordered by mask, so the outcome
+    is independent of ``jobs``.
     """
     from ..exec.dag import Scheduler, Task
-    from ..exec.shm import ShmRegistry
     from ..exec.tasks import run_subset, runner_params
 
     base = runner_params(runner)
-    # The driver has already materialized the trace (site ranking reads
-    # it), so ship it to the workers zero-copy instead of having every
-    # process unpickle the same multi-megabyte artifact.
-    registry = ShmRegistry()
-    descriptor = registry.publish(runner.trace(bench, input_name),
-                                  bench, input_name, runner.max_insts)
-    if descriptor is not None:
-        base = dict(base, shm_traces=[descriptor])
     tasks = [
         Task(id=f"subset/{bench}/{input_name}/{mask}", fn=run_subset,
              args=(dict(base, bench=bench, input=input_name,
@@ -181,11 +175,8 @@ def _parallel_subset_points(runner: Runner, bench: str, input_name: str,
              stage="subset")
         for mask in range(n_subsets)
     ]
-    try:
-        report = Scheduler(jobs=jobs, on_event=progress,
-                           runner=runner).run(tasks)
-    finally:
-        registry.release_all()
+    report = Scheduler(jobs=jobs, on_event=progress,
+                       runner=runner).run(tasks)
     points = [SubsetPoint(r["mask"], r["coverage"], r["relative_ipc"])
               for r in report.results.values()]
     points.sort(key=lambda p: p.mask)

@@ -14,7 +14,7 @@ Wire protocol — one JSON object per line, both directions:
 ====================  =====================================================
 worker → coordinator  ``{"op": "hello", "worker": str, "slots": int}``
                       ``{"op": "started", "task": id}``
-                      ``{"op": "done", "task": id, "result_b64": str,
+                      ``{"op": "done", "task": id, "result": object,
                       "duration": float}``
                       ``{"op": "failed", "task": id, "exc_type": str,
                       "error": str}``
@@ -22,15 +22,20 @@ worker → coordinator  ``{"op": "hello", "worker": str, "slots": int}``
 coordinator → worker  ``{"op": "welcome", "worker": str,
                       "heartbeat": float}``
                       ``{"op": "lease", "lease": int, "tasks":
-                      [{"id", "fn", "args_b64"}]}``
+                      [{"id", "fn", "args": list}]}``
                       ``{"op": "revoke", "tasks": [ids]}``
                       ``{"op": "shutdown"}``
 ====================  =====================================================
 
 Task callables cross the wire by *name* (``module:qualname``, restricted
-to the ``repro`` package on the worker side) and their arguments by
-pickle — the identical serialization trust model as the local process
-pool, between processes run by the same user.
+to the ``repro`` package on the worker side); their arguments (spec
+dicts of scalars and store keys) and results (small summary dicts)
+cross as plain JSON. Nothing a peer sends is decoded into anything but
+JSON data, so a peer that reaches the port (TCP is an accepted
+transport) can at most run a ``repro`` task function on JSON data. A
+value that JSON would alter (a tuple, a non-string key, NaN) is refused
+before it is sent, never silently converted. Bulk artifacts never cross
+the socket: each side loads them from its own view of the store.
 
 Fault tolerance reuses the scheduler's machinery end to end:
 
@@ -48,10 +53,8 @@ Fault tolerance reuses the scheduler's machinery end to end:
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import pickle
 import socket
 import threading
 import time
@@ -84,15 +87,33 @@ def parse_address(address: str) -> Tuple[int, Any]:
     return socket.AF_UNIX, address
 
 
-def encode_args(args: Tuple) -> str:
-    """Pickle a task argument tuple into a base64 wire string."""
-    return base64.b64encode(
-        pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
+def plain_json(value: Any, what: str) -> Any:
+    """``value`` itself, if a JSON round trip returns it unchanged.
+
+    Raises ValueError otherwise: a tuple would arrive as a list, an int
+    key as a string, and an arbitrary object not at all.
+    """
+    try:
+        same = json.loads(json.dumps(value)) == value
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"{what} is not plain JSON: {error}") from None
+    if not same:
+        raise ValueError(f"{what} does not survive a JSON round trip "
+                         f"unchanged: {value!r}")
+    return value
 
 
-def decode_args(blob: str) -> Tuple:
-    """Inverse of :func:`encode_args`."""
-    return pickle.loads(base64.b64decode(blob))
+def encode_args(args: Tuple) -> List[Any]:
+    """A task argument tuple as its JSON wire list."""
+    return plain_json(list(args), "task args")
+
+
+def decode_args(doc: Any) -> Tuple:
+    """Inverse of :func:`encode_args`; anything but a list is refused."""
+    if not isinstance(doc, list):
+        raise TypeError(f"task args must be a JSON list, "
+                        f"not {type(doc).__name__}")
+    return tuple(doc)
 
 
 def task_fn_name(fn) -> str:
@@ -271,7 +292,7 @@ class SocketCoordinator:
                 return  # a twin already answered (steal race) — first wins
             if msg["op"] == "done":
                 self._results[task_id] = (
-                    "ok", msg.get("result_b64", ""),
+                    "ok", msg.get("result"),
                     float(msg.get("duration", 0.0)))
                 self.stats.completed += 1
             else:
@@ -333,7 +354,7 @@ class SocketCoordinator:
                         worker.leased.add(tid)
                         task = self._tasks[tid]
                         batch.append({"id": tid, "fn": task["fn"],
-                                      "args_b64": task["args_b64"]})
+                                      "args": task["args"]})
                     self._lease_seq += 1
                     self.stats.leases += 1
                     grants.append((worker, batch, self._lease_seq))
@@ -405,9 +426,9 @@ class SocketCoordinator:
 
     # -- dispatch-facing API --------------------------------------------------
 
-    def submit(self, task_id: str, fn_name: str, args_b64: str) -> None:
+    def submit(self, task_id: str, fn_name: str, args: List[Any]) -> None:
         with self._lock:
-            self._tasks[task_id] = {"fn": fn_name, "args_b64": args_b64,
+            self._tasks[task_id] = {"fn": fn_name, "args": args,
                                     "requeues": 0}
             self._results.pop(task_id, None)
             self._ready.append(task_id)
@@ -518,7 +539,7 @@ class SocketDispatchBackend(DispatchBackend):
     def result(self, handle: str) -> Tuple[Any, float]:
         outcome = self._coordinator.take_result(handle)
         if outcome[0] == "ok":
-            return pickle.loads(base64.b64decode(outcome[1])), outcome[2]
+            return outcome[1], outcome[2]
         if outcome[0] == "err":
             raise RemoteTaskError(outcome[1], outcome[2])
         raise WorkerLost(outcome[1])

@@ -19,17 +19,17 @@ bounded CI jobs).
 
 from __future__ import annotations
 
-import base64
 import importlib
 import json
-import pickle
 import queue
 import socket
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.dist.remote import decode_args, parse_address, send_line
+from repro.dist.remote import (
+    decode_args, parse_address, plain_json, send_line,
+)
 
 
 def resolve_task_fn(name: str):
@@ -87,16 +87,14 @@ class Worker:
             send_line(self._sock, self._send_lock,
                       {"op": "started", "task": task_id})
             fn = resolve_task_fn(task["fn"])
-            args = _rewrite_store(decode_args(task["args_b64"]),
+            args = _rewrite_store(decode_args(task.get("args")),
                                   self.store_dir)
             start = time.perf_counter()
-            result = fn(*args)
+            result = plain_json(fn(*args), "task result")
             duration = time.perf_counter() - start
-            result_b64 = base64.b64encode(pickle.dumps(
-                result, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
             send_line(self._sock, self._send_lock,
                       {"op": "done", "task": task_id,
-                       "result_b64": result_b64, "duration": duration})
+                       "result": result, "duration": duration})
             self.tasks_run += 1
         except OSError:
             raise  # connection gone; the run loop redials

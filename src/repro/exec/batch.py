@@ -22,7 +22,9 @@ left out of the returned map and tallied under its reason in
 ``ineligible`` and ``setup_error`` before dispatch; ``tap_overflow``,
 ``deadlock``, ``nomem`` and ``copy_back_error`` from the kernel, which
 ``batch_fallbacks`` counts as before; raised errors also under
-``batch_<reason>.<exception type>``); the scheduler reruns it through
+``batch_<reason>.<exception type>`` and, when the bound runner's store
+has telemetry attached, as a ``batch-fallback`` instant carrying the
+reason and exception type); the scheduler reruns it through
 :func:`~repro.exec.tasks.run_timing` et al. serially, preserving the
 retry/raise semantics bit for bit. Results are bit-identical to
 ``--jobs 1`` by construction: the batch path runs the same kernel on
@@ -146,15 +148,27 @@ _KERNEL_REASONS = ("tap_overflow", "deadlock", "nomem", "copy_back_error")
 
 
 def _fall_back(reason: str, error: Optional[BaseException] = None) -> None:
-    """Tally one point sent back to the per-point path, by reason."""
+    """Tally one point sent back to the per-point path, by reason.
+
+    A raised ``error`` is also tallied by exception type and, when the
+    bound runner's store has telemetry attached, emitted as a
+    ``batch-fallback`` instant; with telemetry off nothing is written.
+    """
     from ..pipeline import ckern
     counters = ckern.counters
     counters[f"batch_fallback_{reason}"] += 1
     if reason in _KERNEL_REASONS:
         counters["batch_fallbacks"] += 1
     if error is not None:
-        key = f"batch_{reason}.{type(error).__name__}"
+        exc_type = type(error).__name__
+        key = f"batch_{reason}.{exc_type}"
         counters[key] = counters.get(key, 0) + 1
+        binding = getattr(task_fns._BOUND, "binding", None)
+        runner = binding[1] if binding is not None else None
+        telemetry = runner.store.telemetry if runner is not None else None
+        if telemetry is not None:
+            telemetry.instant("batch-fallback", "batch",
+                              {"reason": reason, "exc_type": exc_type})
 
 
 def run_batch_wave(tasks: Sequence, threads: int

@@ -429,15 +429,6 @@ class ArtifactStore:
         self.stats.record(kind, hit=False)
         return MISS
 
-    def seed(self, key: str, value: Any) -> None:
-        """Insert into the memory layer only (no disk write).
-
-        For values that are *views* of process-local resources — e.g. a
-        trace rehydrated over a shared-memory segment — which must make
-        later lookups hit but can never be pickled to disk.
-        """
-        self._memory.setdefault(key, value)
-
     def put(self, key: str, value: Any, kind: str = "?",
             params: Optional[Dict[str, Any]] = None) -> None:
         """Publish an artifact (memory always; disk atomically if enabled)."""

@@ -15,10 +15,9 @@ in-process execution only, and every task run there resolves to it, so
 what a task computes is exactly what the caller reads back, with no
 persistent store needed for the handoff. Only pool and socket worker
 processes build their own runner, one per distinct parameter set, so
-that repeated tasks in the same worker share the in-memory layer. Specs may
-additionally carry ``shm_traces`` descriptors naming shared-memory
-segments the parent published (:mod:`repro.exec.shm`); workers attach
-those traces zero-copy instead of unpickling them from disk.
+that repeated tasks in the same worker share the in-memory layer: a
+worker loads each artifact it reads (functional traces included) from
+the persistent store once per process, then hits memory.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ def _runner(spec: Dict[str, Any]):
             raise RuntimeError(
                 f"task spec runner parameters {key} differ from the "
                 f"scheduler's runner {_params_key(runner_params(bound))}")
-        # The caller holds the originals of any shared-memory traces.
         return bound
     from ..harness.runner import Runner
     if key not in _RUNNERS:
@@ -99,37 +97,7 @@ def _runner(spec: Dict[str, Any]):
             budget=spec["budget"], max_mg_size=spec["max_mg_size"],
             warm_caches=spec["warm_caches"], max_insts=spec["max_insts"],
             store=ArtifactStore(spec["cache_dir"]))
-    runner = _RUNNERS[key]
-    _seed_shared_traces(runner, spec)
-    return runner
-
-
-def _seed_shared_traces(runner, spec: Dict[str, Any]) -> None:
-    """Attach any shared-memory trace segments named in the spec.
-
-    The parent publishes functional traces it already holds as
-    ``multiprocessing.shared_memory`` segments (see
-    :mod:`repro.exec.shm`); specs carry the descriptors under
-    ``shm_traces``. Attaching maps the packed columns zero-copy and
-    seeds the rehydrated trace into this runner's *memory* layer so the
-    pipeline's ``runner.trace(...)`` calls hit without touching the
-    pickled disk artifact. Any attach failure (segment already
-    released, no shared memory here) silently falls back to the store.
-    """
-    descriptors = spec.get("shm_traces")
-    if not descriptors:
-        return
-    from .shm import attach_trace
-    for descriptor in descriptors:
-        params = {"bench": descriptor["bench"],
-                  "input": descriptor["input"],
-                  "max_insts": descriptor["max_insts"]}
-        key = runner.store.key("trace", params)
-        if key in runner.store._memory:
-            continue
-        trace = attach_trace(descriptor)
-        if trace is not None:
-            runner.store.seed(key, trace)
+    return _RUNNERS[key]
 
 
 def _config(name: str):

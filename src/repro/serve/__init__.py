@@ -16,8 +16,8 @@ execution into a job API over a local socket:
   prune every DAG node whose artifact already exists, so a repeated
   experiment schedules zero work;
 * :mod:`~repro.serve.server` — the asyncio daemon: HTTP job API,
-  per-job telemetry-shaped event streams (NDJSON), shared process pool
-  and shared-memory trace segments across jobs, Prometheus metrics;
+  per-job telemetry-shaped event streams (NDJSON), a process pool
+  shared across jobs, Prometheus metrics;
 * :mod:`~repro.serve.client` — a minimal dependency-free HTTP client;
 * :mod:`~repro.serve.loadtest` — concurrent-client load harness and
   the ``repro loadtest`` CI gate.

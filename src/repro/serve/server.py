@@ -17,10 +17,10 @@ Behind it: the multi-tenant :class:`~repro.serve.queue.JobQueue`
 (priorities, quotas, restart journal), a dispatcher that runs up to
 ``job_slots`` jobs concurrently on worker threads, and the warm path —
 the compiled ``_ckern`` stays loaded, the runner's store memory layer
-accumulates traces/plans/runs across requests, shared-memory trace
-segments persist across jobs, and DAG nodes whose artifacts already
-exist are pruned before scheduling (:mod:`repro.serve.warm`). Identical
-repeat submissions therefore complete with **zero scheduled nodes**.
+accumulates traces/plans/runs across requests, and DAG nodes whose
+artifacts already exist are pruned before scheduling
+(:mod:`repro.serve.warm`). Identical repeat submissions therefore
+complete with **zero scheduled nodes**.
 
 Cross-job execution shares one :class:`ProcessPoolExecutor` (``pool``
 workers) among every parallel job, and an in-flight node registry keeps
@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..exec.dag import Scheduler
-from ..exec.grid import build_tasks, publish_point_traces
+from ..exec.grid import build_tasks
 from ..exec.store import ArtifactStore
 from ..harness.runner import Runner
 from ..obs.telemetry import run_manifest
@@ -187,7 +187,6 @@ class ServeApp:
                              store=self.store)
         self._runners: Dict[Tuple, Runner] = {}
         self._nodes = NodeRegistry()
-        self._shm_registry = None
         self._coordinator = None     # shared dist.remote.SocketCoordinator
         self._pool: Optional[ProcessPoolExecutor] = None
         self._running: set = set()
@@ -274,19 +273,6 @@ class ServeApp:
             self._pool = None
             self._log("shared worker pool degraded; recreating on demand")
 
-    def _shm_for(self, runner: Runner, points, jobs: int) -> Dict:
-        """Publish (and memoize across jobs) shared-memory trace segments."""
-        if jobs <= 1 or not runner.store.persistent:
-            return {}
-        if self.config.dispatch:
-            # Remote workers cannot attach this process's segments;
-            # they rehydrate traces through the shared store instead.
-            return {}
-        if self._shm_registry is None:
-            from ..exec.shm import ShmRegistry
-            self._shm_registry = ShmRegistry()
-        return publish_point_traces(runner, points, self._shm_registry)
-
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
@@ -346,8 +332,6 @@ class ServeApp:
             self._pool.shutdown(wait=False, cancel_futures=True)
         if self._coordinator is not None:
             self._coordinator.stop()
-        if self._shm_registry is not None:
-            self._shm_registry.release_all()
         self.queue.close()
         self._log("stopped")
 
@@ -491,9 +475,7 @@ class ServeApp:
         while True:
             if job.cancel_requested.is_set():
                 raise JobCancelled()
-            shm = self._shm_for(runner, points, jobs)
-            tasks = build_tasks(points, runner, check=check,
-                                shm_traces=shm)
+            tasks = build_tasks(points, runner, check=check)
             kept, pruned = prune_cached(runner, tasks)
             job.nodes_pruned = len(pruned)
             self.stats.nodes_pruned += len(pruned)

@@ -7,7 +7,9 @@ the network. Exact per-worker task counts are never asserted (leasing
 and stealing are timing-dependent); only totals and results are.
 """
 
+import base64
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ import pytest
 from repro.dist.dispatch import (
     DispatchStats, LocalPoolBackend, make_dispatch,
 )
+from repro.dist.remote import SocketCoordinator, decode_args, encode_args
 from repro.exec.grid import baseline_point, run_points, selector_point
 from repro.exec.store import ArtifactBackend, ArtifactStore
 from repro.harness.runner import Runner
@@ -131,3 +134,64 @@ class TestSocketDispatch:
         assert not report.failures
         assert report.degraded
         assert store.disk_summary().get("baseline", {}).get("count") == 1
+
+
+class _MakesDirWhenUnpickled:
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+class TestWireCodec:
+    """Task args and results cross the socket as plain JSON only."""
+
+    def test_args_round_trip_as_a_json_list(self):
+        spec = {"bench": "crc32", "budget": 4, "cache_dir": None,
+                "selector": {"kind": "struct-all", "allowed": [1, 2]}}
+        wire = encode_args((spec,))
+        assert wire == [spec]
+        assert decode_args(wire) == (spec,)
+
+    @pytest.mark.parametrize("arg", [
+        {"policy": ("full", True)},       # tuple would arrive as a list
+        {1: "int key"},                   # key would arrive as "1"
+        {"x": float("nan")},              # NaN != NaN after the trip
+        {"obj": object()},                # not JSON at all
+    ], ids=["tuple", "int-key", "nan", "object"])
+    def test_args_json_would_alter_are_refused(self, arg):
+        with pytest.raises(ValueError, match="task args"):
+            encode_args((arg,))
+
+    def test_decode_refuses_anything_but_a_list(self):
+        with pytest.raises(TypeError, match="JSON list"):
+            decode_args("gASVAAAAAAAAAA==")
+
+    def test_pickled_args_fail_the_task_unread(self, tmp_path):
+        """A lease whose ``args`` is a base64 pickle (the old wire
+        format) is reported ``failed``; the payload, which would create
+        a directory if unpickled, is never loaded."""
+        marker = tmp_path / "unpickled"
+        blob = base64.b64encode(pickle.dumps(
+            (_MakesDirWhenUnpickled(marker),))).decode("ascii")
+        coordinator = SocketCoordinator(str(tmp_path / "coord.sock"))
+        coordinator.start()
+        workers = _spawn_workers(tmp_path / "coord.sock",
+                                 tmp_path / "cache", count=1)
+        try:
+            coordinator.submit("evil", "repro.exec.tasks:run_trace", blob)
+            assert coordinator.wait_any(["evil"], 60) == ["evil"]
+            outcome = coordinator.take_result("evil")
+        finally:
+            coordinator.stop()
+            for proc in workers:
+                try:
+                    proc.wait(timeout=30)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+        assert not marker.exists()
+        assert outcome[0] == "err"
+        assert outcome[1] == "TypeError"
+        assert "JSON list" in outcome[2]
+        assert coordinator.stats.failed == 1

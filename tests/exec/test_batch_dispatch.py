@@ -10,6 +10,7 @@ cannot help, and keeps the serial path's failure semantics.
 """
 
 import collections
+import json
 import os
 
 import pytest
@@ -23,6 +24,7 @@ from repro.exec.grid import (baseline_point, build_tasks, dynamic_point,
 from repro.exec.tasks import bound_runner, runner_params
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import SlackProfileSelector, StructAll
+from repro.obs.telemetry import TelemetryWriter, attach_store_telemetry
 from repro.pipeline import ckern
 from repro.pipeline.config import config_by_name
 
@@ -277,8 +279,16 @@ def test_fallback_reason_ineligible(monkeypatch):
     assert deltas == {"batch_fallback_ineligible": len(wave)}
 
 
+def _fallback_instants(path):
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    return [event for event in events[1:]
+            if event["name"] == "batch-fallback"]
+
+
 @needs_kernel
-def test_fallback_reason_setup_error_records_type():
+def test_fallback_reason_setup_error_records_type(tmp_path):
+    """A raised setup error is tallied by exception type and, with
+    telemetry on, narrated as one ``batch-fallback`` instant."""
     runner = Runner(max_insts=20_000)
     wave = _wave(runner, _WAVE[:1])
     spec = dict(wave[0].args[0], bench="no-such-benchmark")
@@ -289,6 +299,17 @@ def test_fallback_reason_setup_error_records_type():
     assert deltas.pop("batch_fallback_setup_error") == 1
     [(key, count)] = deltas.items()
     assert key.startswith("batch_setup_error.") and count == 1
+
+    writer = TelemetryWriter(tmp_path / "t.jsonl")
+    attach_store_telemetry(runner.store, writer)
+    with bound_runner(runner):
+        run_batch_wave([broken], 2)
+    writer.close()
+    [instant] = _fallback_instants(tmp_path / "t.jsonl")
+    assert instant["ph"] == "i" and instant["cat"] == "batch"
+    assert instant["args"] == {
+        "reason": "setup_error",
+        "exc_type": key[len("batch_setup_error."):]}
 
 
 @needs_kernel
@@ -321,7 +342,7 @@ def test_fallback_reason_tap_overflow(monkeypatch):
 
 
 @needs_kernel
-def test_fallback_reason_copy_back_error_records_type(monkeypatch):
+def test_fallback_reason_copy_back_error_records_type(monkeypatch, tmp_path):
     """A raising copy-back costs only its own point, not the wave."""
     from repro.pipeline.core import OoOCore
     runner = Runner(max_insts=20_000)
@@ -343,6 +364,19 @@ def test_fallback_reason_copy_back_error_records_type(monkeypatch):
                       "batch_fallback_copy_back_error": 1,
                       "batch_copy_back_error.ZeroDivisionError": 1}
     assert len(done) == len(wave) - 1
+
+    # With telemetry on, the raised fallback is also an instant.
+    runner = Runner(max_insts=20_000)
+    wave = _wave(runner, _WAVE)
+    writer = TelemetryWriter(tmp_path / "t.jsonl")
+    attach_store_telemetry(runner.store, writer)
+    raised.clear()
+    with bound_runner(runner):
+        run_batch_wave(wave, 2)
+    writer.close()
+    [instant] = _fallback_instants(tmp_path / "t.jsonl")
+    assert instant["args"] == {"reason": "copy_back_error",
+                               "exc_type": "ZeroDivisionError"}
 
 
 @needs_kernel

@@ -64,13 +64,28 @@ def test_grid_dedups_shared_upstream_nodes():
     assert len(set(task.id for task in tasks)) == len(tasks)
 
 
-def test_parallel_and_serial_are_identical(tmp_path):
+@pytest.mark.parametrize("prewarm", [False, True],
+                         ids=["cold", "prewarmed"])
+def test_parallel_and_serial_are_identical(tmp_path, prewarm):
+    """Cold, or with the parent holding every trace beforehand: pool
+    workers load prewarmed traces from the store and never recompute
+    them (the payload files stay untouched)."""
     serial = _collect(Runner())
 
     store = ArtifactStore(tmp_path / "cache")
     runner = Runner(store=store)
+    payloads = {}
+    if prewarm:
+        for bench in BENCHES:
+            runner.trace(bench)
+            key = store.key("trace", runner.trace_params(bench, "train"))
+            stat = store.backend.payload_path(key).stat()
+            payloads[key] = (stat.st_ino, stat.st_mtime_ns)
     report = run_points(runner, _points(), jobs=4)
     assert not report.failures
+    for key, before in payloads.items():
+        stat = store.backend.payload_path(key).stat()
+        assert (stat.st_ino, stat.st_mtime_ns) == before, key
     # Replay through a fresh runner over the warmed store: everything is
     # a cache hit and the numbers match the serial in-process run.
     replay = Runner(store=ArtifactStore(tmp_path / "cache"))

@@ -266,22 +266,6 @@ def test_layout_version_3_invalidates_version_2_artifacts(tmp_path,
     assert v3_store.get(v3_key) is MISS
 
 
-def test_seed_is_memory_only(tmp_path):
-    """Seeded values hit lookups but never land on disk (they may wrap
-    process-local resources like shared-memory views)."""
-    store = ArtifactStore(tmp_path)
-    key = store.key("trace", {"bench": "crc32"})
-    sentinel = object()
-    store.seed(key, sentinel)
-    assert store.get(key, "trace") is sentinel
-    # A second store over the same directory sees nothing: no disk write.
-    other = ArtifactStore(tmp_path, salt=store.salt)
-    assert other.get(key, "trace") is MISS
-    # Seeding never clobbers an existing value.
-    store.seed(key, object())
-    assert store.get(key, "trace") is sentinel
-
-
 def test_layout_version_invalidates_cached_artifacts(tmp_path, monkeypatch):
     """Bumping LAYOUT_VERSION changes the code salt, so artifacts cached
     under the old trace/record layout can never be served again."""
